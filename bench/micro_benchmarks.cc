@@ -1,8 +1,9 @@
 // Google-benchmark microbenchmarks for the hot CPU paths: differential
-// computation/merge, spare codec, CRC, the flash emulator, and the full
-// PDL read/write paths. These measure *host CPU* cost (the emulator's
-// virtual-time model is separate); they exist to show the differential
-// computation overhead the paper calls "relatively minor".
+// computation/merge, spare codec, CRC (dispatched and portable), the flash
+// emulator's cell programming, and the full PDL read/write paths. These
+// measure *host CPU* cost (the emulator's virtual-time model is separate);
+// they exist to show the differential computation overhead the paper calls
+// "relatively minor".
 
 #include <benchmark/benchmark.h>
 
@@ -126,11 +127,23 @@ void BM_Crc32c(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32c)->Arg(64)->Arg(2048);
 
-void BM_EmulatorProgramReadErase(benchmark::State& state) {
+// The table-driven fallback Crc32c takes on hosts without SSE4.2.
+void BM_Crc32cPortable(benchmark::State& state) {
+  ByteBuffer data = RandomPage(static_cast<size_t>(state.range(0)), 3);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32cPortable(data));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32cPortable)->Arg(64)->Arg(2048);
+
+// Runs `op(dev, addr)` on every page of a 16-block chip in order, erasing the
+// chip (untimed) when it is full, so each timed program is a first program.
+template <typename Op>
+void SweepFreshPages(benchmark::State& state, Op op) {
   flash::FlashConfig cfg = flash::FlashConfig::Small(16);
   flash::FlashDevice dev(cfg);
-  ByteBuffer page = RandomPage(cfg.geometry.data_size, 4);
-  ByteBuffer out(cfg.geometry.data_size);
   uint32_t i = 0;
   const uint32_t total = cfg.geometry.total_pages();
   for (auto _ : state) {
@@ -142,10 +155,33 @@ void BM_EmulatorProgramReadErase(benchmark::State& state) {
       i = 0;
       state.ResumeTiming();
     }
-    benchmark::DoNotOptimize(dev.ProgramPage(i, page, {}));
-    benchmark::DoNotOptimize(dev.ReadPage(i, out, {}));
+    op(dev, i);
     ++i;
   }
+}
+
+// Full data + spare first program: the strict 0->1 check and the AND over
+// one page's cells.
+void BM_EmulatorFirstProgram(benchmark::State& state) {
+  const flash::FlashGeometry g = flash::FlashConfig::Small(16).geometry;
+  const ByteBuffer page = RandomPage(g.data_size, 4);
+  const ByteBuffer spare = RandomPage(g.spare_size, 5);
+  SweepFreshPages(state, [&](flash::FlashDevice& dev, flash::PhysAddr addr) {
+    benchmark::DoNotOptimize(dev.ProgramPage(addr, page, spare));
+  });
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          (g.data_size + g.spare_size));
+}
+BENCHMARK(BM_EmulatorFirstProgram);
+
+void BM_EmulatorProgramReadErase(benchmark::State& state) {
+  const flash::FlashGeometry g = flash::FlashConfig::Small(16).geometry;
+  const ByteBuffer page = RandomPage(g.data_size, 4);
+  ByteBuffer out(g.data_size);
+  SweepFreshPages(state, [&](flash::FlashDevice& dev, flash::PhysAddr addr) {
+    benchmark::DoNotOptimize(dev.ProgramPage(addr, page, {}));
+    benchmark::DoNotOptimize(dev.ReadPage(addr, out, {}));
+  });
 }
 BENCHMARK(BM_EmulatorProgramReadErase);
 

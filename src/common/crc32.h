@@ -10,8 +10,15 @@
 
 namespace flashdb {
 
-/// Computes CRC-32C over `data`, continuing from `seed` (0 to start).
+/// Computes CRC-32C over `data`, continuing from `seed` (0 to start). Uses
+/// the SSE4.2 crc32 instruction when the host CPU has it (checked once at run
+/// time) and Crc32cPortable otherwise; both give identical results.
 uint32_t Crc32c(ConstBytes data, uint32_t seed = 0);
+
+/// Table-driven slice-by-8 CRC-32C for any host. Crc32c falls back to it;
+/// exposed so tests and micro-benchmarks can pin it on hosts that never
+/// take the fallback.
+uint32_t Crc32cPortable(ConstBytes data, uint32_t seed = 0);
 
 }  // namespace flashdb
 

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 
 #include "obs/trace_recorder.h"
@@ -252,19 +253,37 @@ std::vector<PhysAddr> FlashDevice::TakeScrubCandidates() {
 
 Status FlashDevice::ProgramCells(uint8_t* dst, ConstBytes src, PhysAddr addr,
                                  const char* area, bool strict) {
+  const uint8_t* s = src.data();
+  const size_t n = src.size();
+  constexpr size_t kWord = sizeof(uint64_t);
+  const size_t words_end = n - n % kWord;
   if (strict && config_.strict_bit_semantics) {
-    for (size_t i = 0; i < src.size(); ++i) {
-      // A program may only clear bits: every bit set in src must already be
-      // set in the cells, i.e. src & ~dst must have no bit that is 1 in src
-      // but 0 in dst.
-      if ((src[i] & ~dst[i]) != 0) {
-        return Status::FlashConstraint(
-            std::string("program attempts 0->1 transition in ") + area +
-            " area of page " + std::to_string(addr));
-      }
+    // A program may only clear bits: every bit set in src must already be
+    // set in the cells, i.e. src & ~dst must be all zero. Accumulate over
+    // whole words, then the tail bytes, and check once -- a rejected program
+    // leaves the cells untouched.
+    uint64_t raised = 0;
+    for (size_t i = 0; i < words_end; i += kWord) {
+      uint64_t ws, wd;
+      std::memcpy(&ws, s + i, kWord);
+      std::memcpy(&wd, dst + i, kWord);
+      raised |= ws & ~wd;
+    }
+    for (size_t i = words_end; i < n; ++i) raised |= s[i] & ~dst[i];
+    if (raised != 0) {
+      return Status::FlashConstraint(
+          std::string("program attempts 0->1 transition in ") + area +
+          " area of page " + std::to_string(addr));
     }
   }
-  for (size_t i = 0; i < src.size(); ++i) dst[i] &= src[i];
+  for (size_t i = 0; i < words_end; i += kWord) {
+    uint64_t ws, wd;
+    std::memcpy(&ws, s + i, kWord);
+    std::memcpy(&wd, dst + i, kWord);
+    wd &= ws;
+    std::memcpy(dst + i, &wd, kWord);
+  }
+  for (size_t i = words_end; i < n; ++i) dst[i] &= s[i];
   return Status::OK();
 }
 

@@ -155,13 +155,13 @@ Status BufferPool::WithPage(PageId pid,
     return st;
   }
   // Minimal changed range -> update log for tightly-coupled methods.
-  uint32_t lo = 0;
-  while (lo < data_size_ && snapshot[lo] == f.data[lo]) ++lo;
+  const size_t lo =
+      FirstMismatch(snapshot.data(), f.data.data(), 0, data_size_);
   if (lo < data_size_) {
-    uint32_t hi = data_size_;
-    while (hi > lo && snapshot[hi - 1] == f.data[hi - 1]) --hi;
+    const size_t hi =
+        LastMismatch(snapshot.data(), f.data.data(), lo, data_size_);
     UpdateLog log;
-    log.offset = lo;
+    log.offset = static_cast<uint32_t>(lo);
     log.data.assign(f.data.begin() + lo, f.data.begin() + hi);
     st = store_->OnUpdate(pid, f.data, log);
     f.dirty = true;

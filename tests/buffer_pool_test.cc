@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "methods/method_factory.h"
 #include "methods/opu_store.h"
 #include "storage/buffer_pool.h"
@@ -125,6 +127,51 @@ TEST_F(BufferPoolTest, OnUpdateReportsMinimalRange) {
   ASSERT_TRUE(store->ReadPage(3, page).ok());
   EXPECT_EQ(page[100], 1);
   EXPECT_EQ(page[101], 2);
+}
+
+// Records every update log the pool reports.
+class LogRecordingStore : public methods::OpuStore {
+ public:
+  using OpuStore::OpuStore;
+  Status OnUpdate(PageId pid, ConstBytes page_after,
+                  const UpdateLog& log) override {
+    (void)pid;
+    (void)page_after;
+    logs.push_back(log);
+    return Status::OK();
+  }
+  std::vector<UpdateLog> logs;
+};
+
+TEST(BufferPoolUpdateLogTest, RangeIsExactAtPageEdgesAndWordBoundaries) {
+  FlashDevice dev(FlashConfig::Small(8));
+  LogRecordingStore store(&dev);
+  ASSERT_TRUE(store.Format(10, nullptr, nullptr).ok());
+  BufferPool pool(&store, 4);
+  const uint32_t n = dev.geometry().data_size;
+  struct Edit {
+    uint32_t first, last;  // inclusive byte range rewritten
+  };
+  // The first byte, the last byte, a range across the 8-byte boundary at
+  // 16, a range whose interior bytes keep their value, and the whole page.
+  const Edit edits[] = {
+      {0, 0}, {n - 1, n - 1}, {15, 16}, {5, 27}, {0, n - 1}};
+  uint8_t value = 1;
+  for (const Edit& e : edits) {
+    store.logs.clear();
+    ASSERT_TRUE(pool.WithPage(2, [&](MutBytes page) {
+                      page[e.first] = value;
+                      page[e.last] = value;
+                      return Status::OK();
+                    })
+                    .ok());
+    ASSERT_EQ(store.logs.size(), 1u);
+    EXPECT_EQ(store.logs[0].offset, e.first);
+    EXPECT_EQ(store.logs[0].data.size(), e.last - e.first + 1);
+    EXPECT_EQ(store.logs[0].data.front(), value);
+    EXPECT_EQ(store.logs[0].data.back(), value);
+    ++value;
+  }
 }
 
 TEST_F(BufferPoolTest, NoopMutationDoesNotDirty) {

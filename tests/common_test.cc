@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "common/bytes.h"
 #include "common/coding.h"
 #include "common/crc32.h"
@@ -146,12 +149,92 @@ TEST(Crc32Test, KnownValueAndSensitivity) {
   EXPECT_NE(Crc32c(data2), c1);
 }
 
-TEST(Crc32Test, SeedChaining) {
-  const uint8_t all[] = {1, 2, 3, 4, 5, 6};
-  uint32_t whole = Crc32c(all);
-  uint32_t part = Crc32c(ConstBytes(all, 3));
-  part = Crc32c(ConstBytes(all + 3, 3), part);
-  EXPECT_EQ(whole, part);
+// The five CRC-32C check vectors, pinned on both the dispatched Crc32c
+// (hardware on SSE4.2 hosts) and the portable slice-by-8 path.
+std::vector<std::pair<ByteBuffer, uint32_t>> CrcCheckVectors() {
+  const char* digits = "123456789";
+  ByteBuffer ascending(32), descending(32);
+  for (uint8_t i = 0; i < 32; ++i) {
+    ascending[i] = i;
+    descending[i] = static_cast<uint8_t>(31 - i);
+  }
+  return {{ByteBuffer(digits, digits + 9), 0xE3069283u},
+          {ByteBuffer(32, 0x00), 0x8A9136AAu},
+          {ByteBuffer(32, 0xFF), 0x62A8AB43u},
+          {ascending, 0x46DD794Eu},
+          {descending, 0x113FDB5Cu}};
+}
+
+TEST(Crc32Test, DispatchedMatchesCheckVectors) {
+  for (const auto& [data, crc] : CrcCheckVectors()) {
+    EXPECT_EQ(Crc32c(data), crc) << HexDump(data);
+  }
+}
+
+TEST(Crc32Test, PortableMatchesCheckVectors) {
+  for (const auto& [data, crc] : CrcCheckVectors()) {
+    EXPECT_EQ(Crc32cPortable(data), crc) << HexDump(data);
+  }
+}
+
+TEST(Crc32Test, PathsAgreeOnEveryLengthAndAlignment) {
+  Random rng(11);
+  ByteBuffer buf(64 + 8);
+  for (size_t len = 0; len <= 64; ++len) {
+    for (size_t off = 0; off < 8; ++off) {
+      rng.Fill(buf);
+      const ConstBytes data(buf.data() + off, len);
+      const uint32_t seed = static_cast<uint32_t>(rng.Next());
+      ASSERT_EQ(Crc32c(data), Crc32cPortable(data))
+          << "len " << len << " off " << off;
+      ASSERT_EQ(Crc32c(data, seed), Crc32cPortable(data, seed))
+          << "len " << len << " off " << off;
+    }
+  }
+}
+
+TEST(Crc32Test, SeedChainingAgreesAcrossPathsAtAnySplit) {
+  Random rng(12);
+  ByteBuffer buf(200);
+  rng.Fill(buf);
+  const ConstBytes all(buf);
+  const uint32_t whole = Crc32cPortable(all);
+  ASSERT_EQ(Crc32c(all), whole);
+  for (size_t split = 0; split <= all.size(); ++split) {
+    const ConstBytes head = all.first(split);
+    const ConstBytes tail = all.subspan(split);
+    // Mix the paths across the split: each must continue the other's seed.
+    EXPECT_EQ(Crc32c(tail, Crc32cPortable(head)), whole) << split;
+    EXPECT_EQ(Crc32cPortable(tail, Crc32c(head)), whole) << split;
+    EXPECT_EQ(Crc32c(tail, Crc32c(head)), whole) << split;
+  }
+}
+
+TEST(BytesTest, MismatchScansFindASingleDifferenceAnywhere) {
+  for (size_t n = 0; n <= 33; ++n) {
+    const ByteBuffer a(n, 0x5A);
+    EXPECT_EQ(FirstMismatch(a.data(), a.data(), 0, n), n);
+    EXPECT_EQ(LastMismatch(a.data(), a.data(), 0, n), 0u);
+    for (size_t pos = 0; pos < n; ++pos) {
+      ByteBuffer b = a;
+      b[pos] ^= 0x01;
+      EXPECT_EQ(FirstMismatch(a.data(), b.data(), 0, n), pos)
+          << "n " << n << " pos " << pos;
+      EXPECT_EQ(LastMismatch(a.data(), b.data(), 0, n), pos + 1)
+          << "n " << n << " pos " << pos;
+      // A scan that starts past the difference sees none.
+      EXPECT_EQ(FirstMismatch(a.data(), b.data(), pos + 1, n), n);
+      EXPECT_EQ(LastMismatch(a.data(), b.data(), pos + 1, n), pos + 1);
+    }
+  }
+}
+
+TEST(BytesTest, MismatchScansBracketTheChangedRange) {
+  ByteBuffer a(40, 0), b(40, 0);
+  b[3] = 1;
+  b[29] = 0x80;
+  EXPECT_EQ(FirstMismatch(a.data(), b.data(), 0, a.size()), 3u);
+  EXPECT_EQ(LastMismatch(a.data(), b.data(), 0, a.size()), 30u);
 }
 
 TEST(RandomTest, DeterministicForSeed) {

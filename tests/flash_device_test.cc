@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "flash/fault_injector.h"
 #include "flash/flash_device.h"
 
@@ -372,6 +373,120 @@ TEST(FlashPlaneTest, MarkBadBlockOobSetsAndReportsMark) {
   ASSERT_TRUE(dev.MarkBadBlockOob(5).ok());
   EXPECT_TRUE(dev.HasBadBlockOob(5));
 }
+
+// --- Cell programming: strict 0->1 check and AND ---------------------------
+
+// The paper's 2048 + 64 page, and one whose data and spare sizes are not
+// multiples of 8, so the word loop's byte tail and misaligned page starts
+// are exercised too.
+class ProgramCellsTest : public ::testing::TestWithParam<FlashGeometry> {
+ protected:
+  ProgramCellsTest() : dev_(MakeConfig(GetParam())) {}
+
+  static FlashConfig MakeConfig(const FlashGeometry& g) {
+    FlashConfig cfg = FlashConfig::Small(2);
+    cfg.geometry.data_size = g.data_size;
+    cfg.geometry.spare_size = g.spare_size;
+    return cfg;
+  }
+
+  // Random cells with bit 0 cleared in every byte, so raising bit 0 of any
+  // single byte is a 0->1 transition while every other byte stays legal.
+  ByteBuffer ClearedBit0(size_t n, uint64_t seed) const {
+    ByteBuffer b(n);
+    Random rng(seed);
+    rng.Fill(b);
+    for (uint8_t& x : b) x &= 0xFE;
+    return b;
+  }
+
+  ByteBuffer ReadData() {
+    ByteBuffer out(dev_.geometry().data_size);
+    EXPECT_TRUE(dev_.ReadPage(kAddr, out, {}).ok());
+    return out;
+  }
+  ByteBuffer ReadSpare() {
+    ByteBuffer out(dev_.geometry().spare_size);
+    EXPECT_TRUE(dev_.ReadPage(kAddr, {}, out).ok());
+    return out;
+  }
+
+  // Page 1, so with the odd geometry the cells start off word alignment.
+  static constexpr PhysAddr kAddr = 1;
+  FlashDevice dev_;
+};
+
+TEST_P(ProgramCellsTest, RaisedBitRejectedAtEveryDataByte) {
+  const ByteBuffer cells = ClearedBit0(dev_.geometry().data_size, 21);
+  ASSERT_TRUE(dev_.ProgramPage(kAddr, cells, {}).ok());
+  for (size_t pos = 0; pos < cells.size(); ++pos) {
+    ByteBuffer img = cells;
+    img[pos] |= 0x01;
+    const Status s = dev_.ProgramPage(kAddr, img, {});
+    ASSERT_TRUE(s.IsFlashConstraint()) << "byte " << pos;
+    ASSERT_EQ(s.message(),
+              "program attempts 0->1 transition in data area of page 1");
+    ASSERT_TRUE(BytesEqual(ReadData(), cells)) << "byte " << pos;
+  }
+  EXPECT_EQ(dev_.DataProgramCount(kAddr), 1u);
+}
+
+TEST_P(ProgramCellsTest, RaisedBitRejectedAtEverySpareByte) {
+  const ByteBuffer cells = ClearedBit0(dev_.geometry().spare_size, 22);
+  ASSERT_TRUE(dev_.ProgramPage(kAddr, {}, cells).ok());
+  for (size_t pos = 0; pos < cells.size(); ++pos) {
+    ByteBuffer img = cells;
+    img[pos] |= 0x01;
+    const Status s = dev_.ProgramPage(kAddr, {}, img);
+    ASSERT_TRUE(s.IsFlashConstraint()) << "byte " << pos;
+    ASSERT_EQ(s.message(),
+              "program attempts 0->1 transition in spare area of page 1");
+    ASSERT_TRUE(BytesEqual(ReadSpare(), cells)) << "byte " << pos;
+  }
+}
+
+TEST_P(ProgramCellsTest, LegalProgramsAndBytewise) {
+  const FlashGeometry& g = dev_.geometry();
+  ByteBuffer data = ClearedBit0(g.data_size, 23);
+  ByteBuffer spare = ClearedBit0(g.spare_size, 24);
+  ASSERT_TRUE(dev_.ProgramPage(kAddr, data, spare).ok());
+  // A strict program of a bit subset, then a non-strict partial program of
+  // arbitrary bytes: the cells must equal the byte-wise AND of the images.
+  ByteBuffer mask_data(g.data_size), mask_spare(g.spare_size);
+  Random rng(25);
+  rng.Fill(mask_data);
+  rng.Fill(mask_spare);
+  ByteBuffer subset_data = data, subset_spare = spare;
+  for (size_t i = 0; i < data.size(); ++i) subset_data[i] &= mask_data[i];
+  for (size_t i = 0; i < spare.size(); ++i) subset_spare[i] &= mask_spare[i];
+  ASSERT_TRUE(dev_.ProgramPage(kAddr, subset_data, subset_spare).ok());
+  ByteBuffer partial(g.data_size);
+  rng.Fill(partial);
+  ASSERT_TRUE(dev_.PartialProgramPage(kAddr, partial).ok());
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(data[i] & mask_data[i] & partial[i]);
+  }
+  for (size_t i = 0; i < spare.size(); ++i) spare[i] &= mask_spare[i];
+  EXPECT_TRUE(BytesEqual(ReadData(), data));
+  EXPECT_TRUE(BytesEqual(ReadSpare(), spare));
+}
+
+FlashGeometry PageShape(uint32_t data_size, uint32_t spare_size) {
+  FlashGeometry g;
+  g.data_size = data_size;
+  g.spare_size = spare_size;
+  return g;
+}
+
+std::string ShapeName(const ::testing::TestParamInfo<FlashGeometry>& info) {
+  return "data" + std::to_string(info.param.data_size) + "_spare" +
+         std::to_string(info.param.spare_size);
+}
+
+INSTANTIATE_TEST_SUITE_P(PageShapes, ProgramCellsTest,
+                         ::testing::Values(PageShape(2048, 64),
+                                           PageShape(2044, 61)),
+                         ShapeName);
 
 TEST(FlashConfigTest, PaperDefaultsMatchTable1) {
   FlashConfig cfg = FlashConfig::Paper();
