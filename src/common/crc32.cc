@@ -12,24 +12,14 @@ namespace flashdb {
 namespace {
 constexpr uint32_t kPoly = 0x82F63B78;  // reversed CRC-32C polynomial
 
-// Slice-by-8 tables: T[0] is the classic byte table, and T[k][b] is the CRC
-// of byte b followed by k zero bytes, so eight table lookups fold one 8-byte
-// word into the running CRC.
-using Tables = std::array<std::array<uint32_t, 256>, 8>;
-
-Tables BuildTables() {
-  Tables t{};
+std::array<uint32_t, 256> BuildTable() {
+  std::array<uint32_t, 256> table{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) c = (c & 1) ? (kPoly ^ (c >> 1)) : (c >> 1);
-    t[0][i] = c;
+    table[i] = c;
   }
-  for (size_t k = 1; k < t.size(); ++k) {
-    for (uint32_t i = 0; i < 256; ++i) {
-      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
-    }
-  }
-  return t;
+  return table;
 }
 
 #if defined(__x86_64__)
@@ -53,19 +43,9 @@ __attribute__((target("sse4.2"))) uint32_t Crc32cSse42(const uint8_t* p,
 }  // namespace
 
 uint32_t Crc32cPortable(ConstBytes data, uint32_t seed) {
-  static const Tables kT = BuildTables();
-  const uint8_t* p = data.data();
-  size_t n = data.size();
+  static const std::array<uint32_t, 256> kTable = BuildTable();
   uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (; n >= 8; n -= 8, p += 8) {
-    // Assemble the word little-endian from bytes so the fold is independent
-    // of host byte order (compilers turn this into one load on x86/ARM).
-    const uint32_t lo = c ^ (uint32_t{p[0]} | uint32_t{p[1]} << 8 |
-                             uint32_t{p[2]} << 16 | uint32_t{p[3]} << 24);
-    c = kT[7][lo & 0xFF] ^ kT[6][(lo >> 8) & 0xFF] ^ kT[5][(lo >> 16) & 0xFF] ^
-        kT[4][lo >> 24] ^ kT[3][p[4]] ^ kT[2][p[5]] ^ kT[1][p[6]] ^ kT[0][p[7]];
-  }
-  for (; n > 0; --n, ++p) c = kT[0][(c ^ *p) & 0xFF] ^ (c >> 8);
+  for (uint8_t b : data) c = kTable[(c ^ b) & 0xFF] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

@@ -15,8 +15,8 @@ namespace flashdb {
 /// time) and Crc32cPortable otherwise; both give identical results.
 uint32_t Crc32c(ConstBytes data, uint32_t seed = 0);
 
-/// Table-driven slice-by-8 CRC-32C for any host. Crc32c falls back to it;
-/// exposed so tests and micro-benchmarks can pin it on hosts that never
+/// Byte-at-a-time table-driven CRC-32C for any host. Crc32c falls back to
+/// it; exposed so tests and micro-benchmarks can pin it on hosts that never
 /// take the fallback.
 uint32_t Crc32cPortable(ConstBytes data, uint32_t seed = 0);
 

@@ -150,7 +150,7 @@ TEST(Crc32Test, KnownValueAndSensitivity) {
 }
 
 // The five CRC-32C check vectors, pinned on both the dispatched Crc32c
-// (hardware on SSE4.2 hosts) and the portable slice-by-8 path.
+// (hardware on SSE4.2 hosts) and the portable byte-table path.
 std::vector<std::pair<ByteBuffer, uint32_t>> CrcCheckVectors() {
   const char* digits = "123456789";
   ByteBuffer ascending(32), descending(32);
