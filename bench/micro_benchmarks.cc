@@ -125,7 +125,7 @@ void BM_Crc32c(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_Crc32c)->Arg(64)->Arg(2048);
+BENCHMARK(BM_Crc32c)->Arg(64)->Arg(2048)->Arg(4096);
 
 // The table-driven fallback Crc32c takes on hosts without SSE4.2.
 void BM_Crc32cPortable(benchmark::State& state) {
@@ -202,6 +202,31 @@ void BM_PdlWriteBack(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PdlWriteBack)->Arg(256)->Arg(2048);
+
+// PDL_Reading of pids whose differentials were flushed: a verified base
+// page read, a verified differential page read, then the in-place lookup
+// and merge. 64 small differentials share a handful of differential pages.
+void BM_PdlReadPage(benchmark::State& state) {
+  flash::FlashDevice dev(flash::FlashConfig::Small(64));
+  pdl::PdlStore store(&dev, pdl::PdlConfig{});
+  const uint32_t pages = 1024;
+  (void)store.Format(pages, nullptr, nullptr);
+  ByteBuffer page(dev.geometry().data_size, 0);
+  Random r(6);
+  const PageId kDiffed = 64;
+  for (PageId pid = 0; pid < kDiffed; ++pid) {
+    for (int i = 0; i < 16; ++i) page[r.Uniform(page.size())] ^= 0x5A;
+    (void)store.WriteBack(pid, page);
+    std::fill(page.begin(), page.end(), 0);
+  }
+  (void)store.Flush();
+  PageId pid = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(store.ReadPage(pid, page));
+    pid = (pid + 1) % kDiffed;
+  }
+}
+BENCHMARK(BM_PdlReadPage);
 
 void BM_OpuWriteBack(benchmark::State& state) {
   flash::FlashDevice dev(flash::FlashConfig::Small(64));

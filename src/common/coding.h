@@ -80,6 +80,10 @@ class BufferReader {
   bool failed() const { return failed_; }
   size_t remaining() const { return in_.size() - pos_; }
   size_t position() const { return pos_; }
+  /// The bytes consumed since `from`, an earlier position().
+  ConstBytes ConsumedSince(size_t from) const {
+    return in_.subspan(from, pos_ - from);
+  }
 
   uint8_t GetU8() {
     if (!Require(1)) return 0;

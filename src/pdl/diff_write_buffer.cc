@@ -32,13 +32,13 @@ void DiffWriteBuffer::Insert(Differential diff) {
   entries_.push_back(std::move(diff));
 }
 
-ByteBuffer DiffWriteBuffer::SerializePage(size_t page_size) const {
-  ByteBuffer out;
-  out.reserve(page_size);
-  for (const Differential& d : entries_) d.AppendTo(&out);
-  assert(out.size() <= page_size);
-  out.resize(page_size, 0xFF);
-  return out;
+void DiffWriteBuffer::SerializePageInto(size_t page_size,
+                                        ByteBuffer* out) const {
+  out->clear();
+  out->reserve(page_size);
+  for (const Differential& d : entries_) d.AppendTo(out);
+  assert(out->size() <= page_size);
+  out->resize(page_size, 0xFF);
 }
 
 void DiffWriteBuffer::Clear() {

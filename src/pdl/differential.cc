@@ -34,46 +34,118 @@ void Differential::AppendTo(ByteBuffer* out) const {
   }
 }
 
+namespace {
+
+Status ExtentBeyondPage(PageId pid) {
+  return Status::Corruption("differential extent beyond page bounds (pid " +
+                            std::to_string(pid) + ")");
+}
+
+// Decodes `count` extents from `r`, calling visit(offset, payload) for each
+// until it returns false. Returns false when the bytes run out first. The
+// one extent decoder: the walker, DiffRecordView::ApplyTo and ParseNext all
+// go through it.
+template <typename Visit>
+bool DecodeExtents(BufferReader* r, uint16_t count, Visit&& visit) {
+  for (uint16_t i = 0; i < count; ++i) {
+    const uint16_t offset = r->GetU16();
+    const uint16_t length = r->GetU16();
+    const ConstBytes payload = r->GetBytes(length);
+    if (r->failed()) return false;
+    if (!visit(offset, payload)) break;
+  }
+  return true;
+}
+
+}  // namespace
+
 Status Differential::ApplyTo(MutBytes page) const {
   size_t data_pos = 0;
   for (const DiffExtent& e : extents_) {
     if (static_cast<size_t>(e.offset) + e.length > page.size()) {
-      return Status::Corruption("differential extent beyond page bounds (pid " +
-                                std::to_string(pid_) + ")");
+      return ExtentBeyondPage(pid_);
     }
+    // A parsed record may hold only zero-length extents, leaving data_
+    // unallocated; memcpy must not be handed its null pointer.
+    if (e.length == 0) continue;
     std::memcpy(page.data() + e.offset, data_.data() + data_pos, e.length);
     data_pos += e.length;
   }
   return Status::OK();
 }
 
-bool Differential::ParseNext(BufferReader* reader, Differential* out,
-                             Status* out_status) {
+Status DiffRecordView::ApplyTo(MutBytes page) const {
+  Status status;
+  auto merge = [&](uint16_t offset, ConstBytes payload) {
+    if (offset + payload.size() > page.size()) {
+      status = ExtentBeyondPage(pid);
+      return false;
+    }
+    std::memcpy(page.data() + offset, payload.data(), payload.size());
+    return true;
+  };
+  BufferReader reader(extents);
+  if (!DecodeExtents(&reader, count, merge)) {
+    return Status::Corruption("truncated differential record");
+  }
+  return status;
+}
+
+bool NextRecordView(BufferReader* reader, DiffRecordView* out,
+                    Status* out_status) {
   *out_status = Status::OK();
   if (reader->remaining() < 4) return false;
   const uint32_t pid = reader->GetU32();
   if (pid == kPaddingPid) return false;  // erased padding: end of records
-  out->pid_ = pid;
-  out->timestamp_ = reader->GetU64();
-  const uint16_t count = reader->GetU16();
-  out->extents_.clear();
-  out->data_.clear();
-  for (uint16_t i = 0; i < count; ++i) {
-    DiffExtent e;
-    e.offset = reader->GetU16();
-    e.length = reader->GetU16();
-    ConstBytes payload = reader->GetBytes(e.length);
-    if (reader->failed()) {
-      *out_status = Status::Corruption("truncated differential record");
-      return false;
-    }
-    out->extents_.push_back(e);
-    out->data_.insert(out->data_.end(), payload.begin(), payload.end());
+  out->pid = pid;
+  out->timestamp = reader->GetU64();
+  out->count = reader->GetU16();
+  const size_t start = reader->position();
+  auto skip = [](uint16_t, ConstBytes) { return true; };
+  if (!DecodeExtents(reader, out->count, skip)) {
+    *out_status = Status::Corruption("truncated differential record");
+    return false;
   }
   if (reader->failed()) {
     *out_status = Status::Corruption("truncated differential record header");
     return false;
   }
+  out->extents = reader->ConsumedSince(start);
+  return true;
+}
+
+Status ApplyRecordFromPage(ConstBytes image, PageId pid, MutBytes page,
+                           bool* found) {
+  *found = false;
+  BufferReader reader(image);
+  DiffRecordView rec;
+  Status parse_status;
+  while (NextRecordView(&reader, &rec, &parse_status)) {
+    if (rec.pid == pid) {
+      *found = true;
+      return rec.ApplyTo(page);
+    }
+  }
+  return parse_status;
+}
+
+bool Differential::ParseNext(BufferReader* reader, Differential* out,
+                             Status* out_status) {
+  DiffRecordView rec;
+  if (!NextRecordView(reader, &rec, out_status)) return false;
+  out->pid_ = rec.pid;
+  out->timestamp_ = rec.timestamp;
+  out->extents_.clear();
+  out->data_.clear();
+  out->extents_.reserve(rec.count);
+  out->data_.reserve(rec.extents.size() - rec.count * kExtentHeaderSize);
+  auto copy = [&](uint16_t offset, ConstBytes payload) {
+    out->extents_.push_back({offset, static_cast<uint16_t>(payload.size())});
+    out->data_.insert(out->data_.end(), payload.begin(), payload.end());
+    return true;
+  };
+  BufferReader extents(rec.extents);
+  DecodeExtents(&extents, rec.count, copy);
   return true;
 }
 

@@ -36,6 +36,34 @@ inline constexpr size_t kExtentHeaderSize = 2 + 2;
 /// Reserved pid marking erased padding in a differential page.
 inline constexpr uint32_t kPaddingPid = 0xFFFFFFFFu;
 
+/// A zero-copy view of one encoded record inside a differential page image,
+/// valid while the image is. Only NextRecordView produces well-formed ones.
+struct DiffRecordView {
+  PageId pid = kPaddingPid;
+  uint64_t timestamp = 0;
+  uint16_t count = 0;  ///< Number of extents.
+  /// The `count` encoded {offset, length, data} extents.
+  ConstBytes extents;
+
+  /// Merges the record onto `page` straight from the image bytes, with the
+  /// same bounds check and error as Differential::ApplyTo.
+  Status ApplyTo(MutBytes page) const;
+};
+
+/// Walks the next record from `reader` without copying it; the record
+/// format's one decoder (Differential::ParseNext wraps it). Returns false
+/// when the reader is positioned at padding / end of page (no record
+/// consumed). On malformed input returns a Corruption status through
+/// `*out_status`.
+bool NextRecordView(BufferReader* reader, DiffRecordView* out,
+                    Status* out_status);
+
+/// PDL's in-place lookup: walks the differential page `image` up to pid's
+/// record and merges it onto `page`. Sets `*found` false, leaving `page`
+/// untouched, when the records end without one for pid.
+Status ApplyRecordFromPage(ConstBytes image, PageId pid, MutBytes page,
+                           bool* found);
+
 /// A decoded (or freshly computed) page-differential.
 class Differential {
  public:
@@ -81,9 +109,8 @@ class Differential {
   /// page image. Extents beyond page bounds indicate corruption.
   Status ApplyTo(MutBytes page) const;
 
-  /// Parses the next record from `reader`. Returns false when the reader is
-  /// positioned at padding / end of page (no record consumed). On malformed
-  /// input returns a Corruption status through `*out_status`.
+  /// Parses the next record from `reader` into an owned copy; otherwise as
+  /// NextRecordView.
   static bool ParseNext(BufferReader* reader, Differential* out,
                         Status* out_status);
 

@@ -120,33 +120,19 @@ Status PdlStore::ReadPage(PageId pid, MutBytes out) {
   }
   const PhysAddr dp = map_.diff(pid);
   if (dp == kNullAddr) return Status::OK();  // no differential page
-  Differential d;
+  // The differential page goes into the store's own scratch, and pid's
+  // record merges straight from it (Step 3): no page-sized allocation and
+  // no copies of the records walked past.
+  read_scratch_.resize(data_size_);
+  FLASHDB_RETURN_IF_ERROR(ftl::ReadVerifiedPage(dev_, dp, read_scratch_));
   bool found = false;
-  FLASHDB_RETURN_IF_ERROR(FindDifferentialInPage(dp, pid, &d, &found));
+  FLASHDB_RETURN_IF_ERROR(ApplyRecordFromPage(read_scratch_, pid, out, &found));
   if (!found) {
     return Status::Corruption("PPMT points at differential page " +
                               std::to_string(dp) + " lacking a record for pid " +
                               std::to_string(pid));
   }
-  return d.ApplyTo(out);  // Step 3: merge.
-}
-
-Status PdlStore::FindDifferentialInPage(PhysAddr dp, PageId pid,
-                                        Differential* out, bool* found) {
-  *found = false;
-  ByteBuffer data(data_size_);
-  FLASHDB_RETURN_IF_ERROR(ftl::ReadVerifiedPage(dev_, dp, data));
-  BufferReader reader(data);
-  Differential d;
-  Status parse_status;
-  while (Differential::ParseNext(&reader, &d, &parse_status)) {
-    if (d.pid() == pid) {
-      *out = std::move(d);
-      *found = true;
-      return Status::OK();
-    }
-  }
-  return parse_status;
+  return Status::OK();
 }
 
 Status PdlStore::WriteBack(PageId pid, ConstBytes page) {
@@ -219,11 +205,11 @@ Status PdlStore::FlushBuffer(bool for_gc) {
   if (buffer_.empty()) return Status::OK();
   FLASHDB_ASSIGN_OR_RETURN(PhysAddr q, bm_.AllocatePage(for_gc, kDiffStream));
   // Step 1: write the buffer's contents as a new differential page.
-  ByteBuffer image = buffer_.SerializePage(data_size_);
+  buffer_.SerializePageInto(data_size_, &flush_scratch_);
   ByteBuffer spare(spare_size_, 0xFF);
   ftl::EncodeSpare(spare, ftl::PageType::kDiff, kPaddingPid - 1, clock_.Next(),
-                   image);
-  FLASHDB_RETURN_IF_ERROR(dev_->ProgramPage(q, image, spare));
+                   flush_scratch_);
+  FLASHDB_RETURN_IF_ERROR(dev_->ProgramPage(q, flush_scratch_, spare));
   // Step 2: update the mapping table and the valid-differential counts.
   for (const Differential& d : buffer_.entries()) {
     const PhysAddr old_dp = map_.DetachDiff(d.pid());

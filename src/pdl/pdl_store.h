@@ -140,10 +140,6 @@ class PdlStore : public PageStore {
   Status ValidateConfig() const;
   /// Reclaims one victim block (relocate bases, compact differentials).
   Status RunGcOnce();
-  /// Reads pid's differential from flash page `dp` into `*out`.
-  /// Sets found=false when the page holds no record for pid.
-  Status FindDifferentialInPage(flash::PhysAddr dp, PageId pid,
-                                Differential* out, bool* found);
 
   flash::FlashDevice* dev_;
   PdlConfig config_;
@@ -170,6 +166,10 @@ class PdlStore : public PageStore {
   /// so Case 1/2 still allocates (once per vector, via AddExtent's reserve).
   ByteBuffer base_scratch_;
   Differential diff_scratch_;
+  /// Differential-page image for ReadPage's in-place lookup, and the image
+  /// FlushBuffer serializes and programs; both keep their page of capacity.
+  ByteBuffer read_scratch_;
+  ByteBuffer flush_scratch_;
 };
 
 }  // namespace flashdb::pdl

@@ -177,10 +177,19 @@ TEST(Crc32Test, PortableMatchesCheckVectors) {
   }
 }
 
+// The hardware path runs three interleaved 680-byte lanes per 2040-byte
+// round, so lengths around one round, a page, several rounds and a large
+// buffer take the lane merge plus every tail length.
 TEST(Crc32Test, PathsAgreeOnEveryLengthAndAlignment) {
   Random rng(11);
-  ByteBuffer buf(64 + 8);
-  for (size_t len = 0; len <= 64; ++len) {
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= 64; ++len) lengths.push_back(len);
+  for (size_t edge : {2040, 2048, 4080, 6120}) {
+    lengths.insert(lengths.end(), {edge - 1, edge, edge + 1});
+  }
+  lengths.insert(lengths.end(), {4096, 65536});
+  ByteBuffer buf(65536 + 8);
+  for (size_t len : lengths) {
     for (size_t off = 0; off < 8; ++off) {
       rng.Fill(buf);
       const ConstBytes data(buf.data() + off, len);
@@ -207,6 +216,24 @@ TEST(Crc32Test, SeedChainingAgreesAcrossPathsAtAnySplit) {
     EXPECT_EQ(Crc32c(tail, Crc32cPortable(head)), whole) << split;
     EXPECT_EQ(Crc32cPortable(tail, Crc32c(head)), whole) << split;
     EXPECT_EQ(Crc32c(tail, Crc32c(head)), whole) << split;
+  }
+  // Splits of a two-and-a-bit-round buffer: inside a lane, at and beside
+  // every lane and round edge, and where either side is exactly one round.
+  ByteBuffer big(2 * 2040 + 100);
+  rng.Fill(big);
+  const ConstBytes span(big);
+  const uint32_t big_whole = Crc32cPortable(span);
+  ASSERT_EQ(Crc32c(span), big_whole);
+  std::vector<size_t> splits = {1, 8, 1000, 2040, 2140, 3000, 4179};
+  for (size_t edge = 680; edge < span.size(); edge += 680) {
+    splits.insert(splits.end(), {edge - 1, edge, edge + 1});
+  }
+  for (size_t split : splits) {
+    const ConstBytes head = span.first(split);
+    const ConstBytes tail = span.subspan(split);
+    EXPECT_EQ(Crc32c(tail, Crc32cPortable(head)), big_whole) << split;
+    EXPECT_EQ(Crc32cPortable(tail, Crc32c(head)), big_whole) << split;
+    EXPECT_EQ(Crc32c(tail, Crc32c(head)), big_whole) << split;
   }
 }
 

@@ -74,8 +74,14 @@ TEST(DiffWriteBufferTest, SerializePageRoundTrips) {
   DiffWriteBuffer buf(2048);
   buf.Insert(MakeDiff(10, 100, 30));
   buf.Insert(MakeDiff(20, 200, 40));
-  ByteBuffer page = buf.SerializePage(2048);
+  // A reused buffer's stale bytes must not leak into the image.
+  ByteBuffer page(4096, 0x00);
+  buf.SerializePageInto(2048, &page);
   ASSERT_EQ(page.size(), 2048u);
+  ByteBuffer expected;
+  for (const Differential& e : buf.entries()) e.AppendTo(&expected);
+  expected.resize(2048, 0xFF);
+  EXPECT_EQ(page, expected);
 
   BufferReader reader(page);
   Differential d;

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/random.h"
 #include "pdl/differential.h"
 
@@ -17,6 +19,36 @@ ByteBuffer RandomPage(uint64_t seed) {
   Random r(seed);
   r.Fill(p);
   return p;
+}
+
+// Reference lookup over owned copies: ParseNext every record up to pid's,
+// then Differential::ApplyTo.
+Status ReferenceLookup(ConstBytes image, PageId pid, MutBytes page,
+                       bool* found) {
+  *found = false;
+  BufferReader reader(image);
+  Differential d;
+  Status st;
+  while (Differential::ParseNext(&reader, &d, &st)) {
+    if (d.pid() == pid) {
+      *found = true;
+      return d.ApplyTo(page);
+    }
+  }
+  return st;
+}
+
+// Checks ApplyRecordFromPage against ReferenceLookup for `pid`: same found
+// flag, same status (code and message) and the same merged page.
+void ExpectLookupsAgree(ConstBytes image, PageId pid, const ByteBuffer& base) {
+  ByteBuffer in_place = base;
+  ByteBuffer reference = base;
+  bool found = false, ref_found = false;
+  const Status st = ApplyRecordFromPage(image, pid, in_place, &found);
+  const Status ref_st = ReferenceLookup(image, pid, reference, &ref_found);
+  EXPECT_EQ(found, ref_found) << "pid " << pid;
+  EXPECT_EQ(st.ToString(), ref_st.ToString()) << "pid " << pid;
+  EXPECT_TRUE(BytesEqual(in_place, reference)) << "pid " << pid;
 }
 
 TEST(DifferentialTest, IdenticalPagesYieldEmptyDiff) {
@@ -138,6 +170,18 @@ TEST(DifferentialTest, MultipleRecordsInOnePage) {
   }
   EXPECT_TRUE(st.ok());
   EXPECT_EQ(n, 5u);
+
+  // The in-place lookup finds each record, and an absent pid (found=false,
+  // page untouched) is what PdlStore::ReadPage reports as Corruption.
+  const ByteBuffer base = RandomPage(9);
+  for (PageId pid = 0; pid <= 5; ++pid) {
+    ByteBuffer page = base;
+    bool found = false;
+    EXPECT_TRUE(ApplyRecordFromPage(page_buf, pid, page, &found).ok());
+    EXPECT_EQ(found, pid < 5) << "pid " << pid;
+    EXPECT_EQ(BytesEqual(page, base), pid == 5) << "pid " << pid;
+    ExpectLookupsAgree(page_buf, pid, base);
+  }
 }
 
 TEST(DifferentialTest, PaddingTerminatesEmptyPage) {
@@ -170,6 +214,17 @@ TEST(DifferentialTest, ApplyBeyondBoundsIsCorruption) {
   d.AddExtent(static_cast<uint16_t>(kPage - 8), payload);  // spills over
   ByteBuffer page(kPage, 0);
   EXPECT_TRUE(d.ApplyTo(page).IsCorruption());
+
+  // Merged in place from a differential page: the same typed error.
+  ByteBuffer image;
+  d.AppendTo(&image);
+  image.resize(kPage, 0xFF);
+  bool found = false;
+  const Status st = ApplyRecordFromPage(image, 1, page, &found);
+  EXPECT_TRUE(found);
+  EXPECT_TRUE(st.IsCorruption());
+  EXPECT_EQ(st.message(), "differential extent beyond page bounds (pid 1)");
+  ExpectLookupsAgree(image, 1, ByteBuffer(kPage, 0));
 }
 
 TEST(DifferentialTest, EncodedSizeFormula) {
@@ -223,6 +278,104 @@ TEST_P(DifferentialPropertyTest, ComputeSerializeApplyIsIdentity) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, DifferentialPropertyTest,
                          ::testing::Range(0, 50));
+
+// Differential pages packed like the write buffer packs them: random record
+// counts, extent shapes (empty records, zero-length extents, extents at
+// either page edge, runs of up to 300 bytes) and padding, from none to most
+// of a page.
+class RecordWalkerPropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(RecordWalkerPropertyTest, InPlaceLookupMatchesParseAndApply) {
+  const int seed = GetParam();
+  Random r(seed + 1000);
+  const ByteBuffer base = RandomPage(seed + 2000);
+  ByteBuffer image;
+  std::vector<PageId> pids;
+  const size_t records = r.Uniform(12);
+  for (size_t i = 0; i < records; ++i) {
+    const PageId pid = static_cast<PageId>(i * 7 + r.Uniform(7));
+    Differential d(pid, r.Next());
+    const size_t extents = r.Uniform(5);
+    for (size_t e = 0; e < extents; ++e) {
+      const size_t max_len = r.Uniform(2) ? 8 : 300;
+      const size_t len = r.Uniform(4) == 0 ? 0 : 1 + r.Uniform(max_len);
+      size_t off = r.Uniform(kPage - len + 1);
+      if (r.Uniform(4) == 0) off = r.Uniform(2) ? 0 : kPage - len;
+      ByteBuffer payload(len);
+      r.Fill(payload);
+      d.AddExtent(static_cast<uint16_t>(off), payload);
+    }
+    if (image.size() + d.EncodedSize() > kPage) break;
+    d.AppendTo(&image);
+    pids.push_back(pid);
+  }
+  // Erased padding to a full page, or the records alone with none.
+  if (r.Uniform(4) != 0) image.resize(kPage, 0xFF);
+
+  for (PageId pid : pids) {
+    ExpectLookupsAgree(image, pid, base);
+    bool found = false;
+    ByteBuffer page = base;
+    ASSERT_TRUE(ApplyRecordFromPage(image, pid, page, &found).ok());
+    EXPECT_TRUE(found) << "pid " << pid;
+  }
+  // Pids between and past the packed ones are absent.
+  for (PageId pid : {PageId{3}, PageId{1000}}) {
+    if (std::find(pids.begin(), pids.end(), pid) != pids.end()) continue;
+    ExpectLookupsAgree(image, pid, base);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomPages, RecordWalkerPropertyTest,
+                         ::testing::Range(0, 200));
+
+// Two well-formed records (pids 1, 2), 0xFF-padded to a page.
+ByteBuffer TwoRecordPage() {
+  ByteBuffer image;
+  const uint8_t payload[] = {9, 8, 7};
+  for (PageId pid : {1, 2}) {
+    Differential d(pid, pid * 10);
+    d.AddExtent(static_cast<uint16_t>(pid * 100), payload);
+    d.AppendTo(&image);
+  }
+  image.resize(kPage, 0xFF);
+  return image;
+}
+
+TEST(RecordWalkerTest, TruncatedRecordBeforeTargetIsCorruption) {
+  ByteBuffer image = TwoRecordPage();
+  // pid 2's extent claims more payload than the page holds.
+  const size_t second = kDiffHeaderSize + kExtentHeaderSize + 3;
+  EncodeFixed16(image.data() + second + kDiffHeaderSize + 2, 0xFFFF);
+  const ByteBuffer base(kPage, 0);
+  for (PageId target : {2, 5}) {
+    ByteBuffer page = base;
+    bool found = true;
+    const Status st = ApplyRecordFromPage(image, target, page, &found);
+    EXPECT_TRUE(st.IsCorruption());
+    EXPECT_EQ(st.message(), "truncated differential record");
+    EXPECT_FALSE(found);
+    EXPECT_TRUE(BytesEqual(page, base));
+    ExpectLookupsAgree(image, target, base);
+  }
+  // The record before the damage still merges.
+  ExpectLookupsAgree(image, 1, base);
+}
+
+TEST(RecordWalkerTest, TruncatedHeaderIsCorruption) {
+  ByteBuffer image = TwoRecordPage();
+  // A pid with less than a full header after it ends the image.
+  const size_t end = 2 * (kDiffHeaderSize + kExtentHeaderSize + 3);
+  image.resize(end + 4 + 5);
+  EncodeFixed32(image.data() + end, 7);
+  bool found = true;
+  ByteBuffer page(kPage, 0);
+  const Status st = ApplyRecordFromPage(image, 7, page, &found);
+  EXPECT_TRUE(st.IsCorruption());
+  EXPECT_EQ(st.message(), "truncated differential record header");
+  EXPECT_FALSE(found);
+  ExpectLookupsAgree(image, 7, ByteBuffer(kPage, 0));
+}
 
 }  // namespace
 }  // namespace flashdb::pdl
