@@ -35,7 +35,6 @@
 #include <chrono>
 #include <cstdio>
 #include <iostream>
-#include <numeric>
 #include <vector>
 
 #include "common/cpu_affinity.h"
@@ -70,47 +69,6 @@ struct PipelinePoint {
   bool checked = false;
 };
 
-struct PreparedRun {
-  std::unique_ptr<ftl::ShardedStore> store;
-  std::unique_ptr<workload::UpdateDriver> driver;
-  workload::Schedule schedule;
-};
-
-/// Builds a store + driver at steady state and pre-draws the measured
-/// schedule; two calls with identical arguments yield identical state.
-Result<PreparedRun> Prepare(const harness::ExperimentEnv& env,
-                            const methods::MethodSpec& spec,
-                            uint32_t num_shards,
-                            const workload::WorkloadParams& params,
-                            uint32_t total_blocks) {
-  flash::FlashConfig shard_cfg = env.flash_cfg;
-  shard_cfg.geometry.num_blocks = total_blocks / num_shards;
-  if (shard_cfg.geometry.num_blocks < 8) {
-    return Status::InvalidArgument(
-        "too many shards for --blocks: " +
-        std::to_string(shard_cfg.geometry.num_blocks) +
-        " blocks/shard, need >= 8");
-  }
-  const auto& g = shard_cfg.geometry;
-  const uint32_t pages_per_shard = g.total_pages() - 2 * g.pages_per_block;
-  const uint32_t db_pages = static_cast<uint32_t>(
-      env.utilization * static_cast<double>(pages_per_shard) * num_shards);
-
-  PreparedRun run;
-  run.store = methods::CreateShardedStore(shard_cfg, num_shards, spec);
-  workload::WorkloadParams wp = params;
-  wp.seed = env.seed;
-  run.driver =
-      std::make_unique<workload::UpdateDriver>(run.store.get(), wp);
-  FLASHDB_RETURN_IF_ERROR(run.driver->LoadDatabase(db_pages));
-  const uint64_t warmup_cap =
-      env.warmup_max_ops != 0 ? env.warmup_max_ops : 20ULL * db_pages;
-  FLASHDB_RETURN_IF_ERROR(
-      run.driver->Warmup(env.warmup_erases_per_block, warmup_cap));
-  run.schedule = run.driver->MakeSchedule(env.measure_ops);
-  return run;
-}
-
 /// One measured point. `depth` == 0 selects RunParallel; > 0 selects
 /// RunPipelined with that in-flight depth. Wall-clock is the minimum over
 /// `reps` identically-prepared executions (min, not mean: scheduler and
@@ -122,25 +80,22 @@ Result<PipelinePoint> RunPoint(const harness::ExperimentEnv& env,
                                uint32_t depth, size_t queue_capacity,
                                uint32_t reps,
                                const workload::WorkloadParams& params,
-                               uint32_t total_blocks, bool pin, bool check,
+                               bool pin, bool check,
                                obs::MetricsRegistry* metrics) {
   PipelinePoint point;
-  std::unique_ptr<ftl::ShardedStore> last_store;
+  std::vector<uint64_t> run_clocks;
   workload::RunStats last_stats;
-  // Pinning (when requested and supported) is a wall-clock-only knob:
-  // worker i -> core i mod available cores.
-  std::vector<int> pin_cores;
-  if (pin && CpuPinningSupported()) {
-    pin_cores.resize(num_shards);
-    std::iota(pin_cores.begin(), pin_cores.end(), 0);
-    const int cores = static_cast<int>(NumAvailableCores());
-    for (int& c : pin_cores) c %= cores;
-  }
+  // Pinning is a wall-clock-only knob.
+  const std::vector<int> pin_cores =
+      pin ? RoundRobinWorkerCores(num_shards) : std::vector<int>{};
   for (uint32_t rep = 0; rep < reps; ++rep) {
-    FLASHDB_ASSIGN_OR_RETURN(
-        PreparedRun run,
-        Prepare(env, spec, num_shards, params, total_blocks));
-    const uint64_t parallel0 = run.store->parallel_time_us();
+    FLASHDB_ASSIGN_OR_RETURN(harness::Rig run,
+                             harness::Rig::Sharded(env, spec, num_shards));
+    FLASHDB_RETURN_IF_ERROR(run.LoadAndWarm(params));
+    const workload::Schedule schedule =
+        run.driver()->MakeSchedule(env.measure_ops);
+    ftl::ShardedStore* store = run.sharded();
+    const uint64_t parallel0 = store->parallel_time_us();
 
     // Workers spawn outside the timed region; the measured span is pure
     // submit/execute/complete.
@@ -148,11 +103,11 @@ Result<PipelinePoint> RunPoint(const harness::ExperimentEnv& env,
     workload::RunStats stats;
     const auto t0 = std::chrono::steady_clock::now();
     if (depth == 0) {
-      FLASHDB_RETURN_IF_ERROR(run.driver->RunParallel(
-          run.schedule, batch_size, &executor, &stats));
+      FLASHDB_RETURN_IF_ERROR(
+          run.driver()->RunParallel(schedule, batch_size, &executor, &stats));
     } else {
-      FLASHDB_RETURN_IF_ERROR(run.driver->RunPipelined(
-          run.schedule, batch_size, depth, &executor, &stats));
+      FLASHDB_RETURN_IF_ERROR(run.driver()->RunPipelined(
+          schedule, batch_size, depth, &executor, &stats));
     }
     const auto t1 = std::chrono::steady_clock::now();
 
@@ -160,9 +115,9 @@ Result<PipelinePoint> RunPoint(const harness::ExperimentEnv& env,
         std::chrono::duration<double, std::milli>(t1 - t0).count();
     if (rep == 0 || wall_ms < point.wall_ms) point.wall_ms = wall_ms;
     point.parallel_us_per_op =
-        static_cast<double>(run.store->parallel_time_us() - parallel0) /
+        static_cast<double>(store->parallel_time_us() - parallel0) /
         static_cast<double>(env.measure_ops);
-    point.lag_ms = static_cast<double>(run.store->shard_lag_us()) / 1000.0;
+    point.lag_ms = static_cast<double>(store->shard_lag_us()) / 1000.0;
     const double ops = static_cast<double>(env.measure_ops);
     point.gc_us_per_op = static_cast<double>(stats.gc.total_us()) / ops;
     point.meta_us_per_op = static_cast<double>(stats.meta.total_us()) / ops;
@@ -177,30 +132,29 @@ Result<PipelinePoint> RunPoint(const harness::ExperimentEnv& env,
     if (metrics != nullptr && rep == reps - 1) {
       obs::ImportRunStats(metrics, "run", stats);
       obs::ImportExecutorStats(metrics, "executor", executor);
-      obs::ImportShardedStoreStats(metrics, "store", *run.store);
+      obs::ImportShardedStoreStats(metrics, "store", *store);
     }
-    last_store = std::move(run.store);
+    run_clocks = run.clocks();
     last_stats = stats;
   }
   point.kops_per_sec =
       point.wall_ms > 0
           ? static_cast<double>(env.measure_ops) / point.wall_ms
           : 0;
-  ftl::ShardedStore* run_store = last_store.get();
 
   if (check) {
     // Replay the identical schedule sequentially on an identically prepared
     // store; continuous submission must leave every chip's virtual clock
     // exactly where the sequential run leaves it.
-    FLASHDB_ASSIGN_OR_RETURN(
-        PreparedRun ref, Prepare(env, spec, num_shards, params, total_blocks));
+    FLASHDB_ASSIGN_OR_RETURN(harness::Rig ref,
+                             harness::Rig::Sharded(env, spec, num_shards));
+    FLASHDB_RETURN_IF_ERROR(ref.LoadAndWarm(params));
     workload::RunStats ref_stats;
-    FLASHDB_RETURN_IF_ERROR(
-        ref.driver->RunBatched(ref.schedule, batch_size, &ref_stats));
+    FLASHDB_RETURN_IF_ERROR(ref.driver()->RunBatched(
+        ref.driver()->MakeSchedule(env.measure_ops), batch_size, &ref_stats));
     point.checked = true;
-    point.deterministic =
-        run_store->shard_clocks() == ref.store->shard_clocks() &&
-        last_stats.latency == ref_stats.latency;
+    point.deterministic = run_clocks == ref.clocks() &&
+                          last_stats.latency == ref_stats.latency;
   }
   return point;
 }
@@ -214,7 +168,6 @@ int main(int argc, char** argv) {
     std::cerr << "--ops must be > 0\n";
     return 1;
   }
-  const uint32_t total_blocks = env.flash_cfg.geometry.num_blocks;
   const uint32_t num_shards = static_cast<uint32_t>(flags.GetInt("shards", 4));
   const uint32_t batch_size = static_cast<uint32_t>(flags.GetInt("batch", 8));
   const size_t queue_capacity =
@@ -245,7 +198,7 @@ int main(int argc, char** argv) {
       "%u blocks total, %llu ops\n(%.0f%% of ops pinned to shard 0; "
       "executor rings hold %zu windows; batch %u;\n speedup = RunParallel "
       "wall-clock over this mode)\n\n",
-      num_shards, total_blocks,
+      num_shards, env.flash_cfg.geometry.num_blocks,
       static_cast<unsigned long long>(env.measure_ops), params.hot_shard_pct,
       queue_capacity, batch_size);
 
@@ -271,7 +224,7 @@ int main(int argc, char** argv) {
     for (uint32_t depth : points) {
       auto point =
           RunPoint(env, *spec, num_shards, batch_size, depth, queue_capacity,
-                   reps, params, total_blocks, pin, check, &metrics);
+                   reps, params, pin, check, &metrics);
       metrics.SnapshotEpoch(point_index++);
       if (!point.ok()) {
         std::cerr << name << " depth " << depth << ": "

@@ -60,53 +60,6 @@ struct WearPoint {
   bool checked = false;
 };
 
-struct PreparedRun {
-  std::unique_ptr<ftl::ShardedStore> store;
-  std::unique_ptr<workload::UpdateDriver> driver;
-  workload::Schedule schedule;
-};
-
-/// Builds a store + driver at steady state and pre-draws the measured
-/// schedule; two calls with identical arguments yield identical state.
-/// `threshold` <= 0 leaves wear leveling off.
-Result<PreparedRun> Prepare(const harness::ExperimentEnv& env,
-                            const methods::MethodSpec& spec,
-                            uint32_t num_shards,
-                            const workload::WorkloadParams& params,
-                            uint32_t total_blocks, double threshold,
-                            const ftl::WearLevelConfig& wl_base) {
-  flash::FlashConfig shard_cfg = env.flash_cfg;
-  shard_cfg.geometry.num_blocks = total_blocks / num_shards;
-  if (shard_cfg.geometry.num_blocks < 8) {
-    return Status::InvalidArgument(
-        "too many shards for --blocks: " +
-        std::to_string(shard_cfg.geometry.num_blocks) +
-        " blocks/shard, need >= 8");
-  }
-  const auto& g = shard_cfg.geometry;
-  const uint32_t pages_per_shard = g.total_pages() - 2 * g.pages_per_block;
-  const uint32_t db_pages = static_cast<uint32_t>(
-      env.utilization * static_cast<double>(pages_per_shard) * num_shards);
-
-  PreparedRun run;
-  run.store = methods::CreateShardedStore(shard_cfg, num_shards, spec);
-  if (threshold > 0) {
-    ftl::WearLevelConfig wl = wl_base;
-    wl.max_erase_ratio = threshold;
-    FLASHDB_RETURN_IF_ERROR(run.store->router()->EnableRebalancing(wl));
-  }
-  workload::WorkloadParams wp = params;
-  wp.seed = env.seed;
-  run.driver = std::make_unique<workload::UpdateDriver>(run.store.get(), wp);
-  FLASHDB_RETURN_IF_ERROR(run.driver->LoadDatabase(db_pages));
-  const uint64_t warmup_cap =
-      env.warmup_max_ops != 0 ? env.warmup_max_ops : 20ULL * db_pages;
-  FLASHDB_RETURN_IF_ERROR(
-      run.driver->Warmup(env.warmup_erases_per_block, warmup_cap));
-  run.schedule = run.driver->MakeSchedule(env.measure_ops);
-  return run;
-}
-
 /// One measured point: RunPipelined under the given skew/threshold, with an
 /// optional sequential RunBatched replay as the determinism reference.
 Result<WearPoint> RunPoint(const harness::ExperimentEnv& env,
@@ -114,32 +67,46 @@ Result<WearPoint> RunPoint(const harness::ExperimentEnv& env,
                            uint32_t num_shards, uint32_t batch_size,
                            uint32_t depth, size_t queue_capacity,
                            const workload::WorkloadParams& params,
-                           uint32_t total_blocks, double threshold,
+                           double threshold,
                            const ftl::WearLevelConfig& wl_base, bool check) {
+  // Identical calls yield identical steady-state rigs; `threshold` <= 0
+  // leaves wear leveling off.
+  auto warm_rig = [&]() -> Result<harness::Rig> {
+    FLASHDB_ASSIGN_OR_RETURN(harness::Rig rig,
+                             harness::Rig::Sharded(env, spec, num_shards));
+    if (threshold > 0) {
+      ftl::WearLevelConfig wl = wl_base;
+      wl.max_erase_ratio = threshold;
+      FLASHDB_RETURN_IF_ERROR(rig.sharded()->router()->EnableRebalancing(wl));
+    }
+    FLASHDB_RETURN_IF_ERROR(rig.LoadAndWarm(params));
+    return rig;
+  };
+
   WearPoint point;
-  FLASHDB_ASSIGN_OR_RETURN(
-      PreparedRun run,
-      Prepare(env, spec, num_shards, params, total_blocks, threshold,
-              wl_base));
-  const std::vector<uint64_t> erases0 = run.store->shard_erases();
-  const std::vector<uint32_t> blocks0 = run.store->stats().block_erase_counts;
-  const uint64_t parallel0 = run.store->parallel_time_us();
+  FLASHDB_ASSIGN_OR_RETURN(harness::Rig run, warm_rig());
+  const workload::Schedule schedule =
+      run.driver()->MakeSchedule(env.measure_ops);
+  ftl::ShardedStore* store = run.sharded();
+  const std::vector<uint64_t> erases0 = store->shard_erases();
+  const std::vector<uint32_t> blocks0 = store->stats().block_erase_counts;
+  const uint64_t parallel0 = store->parallel_time_us();
 
   ftl::ShardExecutor executor(num_shards, queue_capacity);
   workload::RunStats stats;
   const auto t0 = std::chrono::steady_clock::now();
-  FLASHDB_RETURN_IF_ERROR(run.driver->RunPipelined(run.schedule, batch_size,
-                                                   depth, &executor, &stats));
+  FLASHDB_RETURN_IF_ERROR(run.driver()->RunPipelined(
+      schedule, batch_size, depth, &executor, &stats));
   const auto t1 = std::chrono::steady_clock::now();
   point.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
 
   point.swaps = stats.migrations;
   point.migrate_us_per_op = stats.migrate_us_per_op();
   point.parallel_us_per_op =
-      static_cast<double>(run.store->parallel_time_us() - parallel0) /
+      static_cast<double>(store->parallel_time_us() - parallel0) /
       static_cast<double>(env.measure_ops);
 
-  const std::vector<uint64_t> erases1 = run.store->shard_erases();
+  const std::vector<uint64_t> erases1 = store->shard_erases();
   uint64_t max_d = 0;
   uint64_t min_d = UINT64_MAX;
   for (uint32_t i = 0; i < num_shards; ++i) {
@@ -153,7 +120,7 @@ Result<WearPoint> RunPoint(const harness::ExperimentEnv& env,
         static_cast<double>(max_d) / static_cast<double>(min_d);
   }
 
-  std::vector<uint32_t> block_deltas = run.store->stats().block_erase_counts;
+  std::vector<uint32_t> block_deltas = store->stats().block_erase_counts;
   for (size_t i = 0; i < block_deltas.size(); ++i) {
     block_deltas[i] -= blocks0[i];
   }
@@ -163,17 +130,14 @@ Result<WearPoint> RunPoint(const harness::ExperimentEnv& env,
     // Sequential replay of the identical schedule on an identically prepared
     // store: wear leveling must plan the same migrations at the same epoch
     // boundaries and leave every chip bit-identical.
-    FLASHDB_ASSIGN_OR_RETURN(
-        PreparedRun ref,
-        Prepare(env, spec, num_shards, params, total_blocks, threshold,
-                wl_base));
+    FLASHDB_ASSIGN_OR_RETURN(harness::Rig ref, warm_rig());
     workload::RunStats ref_stats;
-    FLASHDB_RETURN_IF_ERROR(
-        ref.driver->RunBatched(ref.schedule, batch_size, &ref_stats));
+    FLASHDB_RETURN_IF_ERROR(ref.driver()->RunBatched(
+        ref.driver()->MakeSchedule(env.measure_ops), batch_size, &ref_stats));
     point.checked = true;
     point.deterministic =
-        run.store->shard_clocks() == ref.store->shard_clocks() &&
-        run.store->shard_erases() == ref.store->shard_erases() &&
+        run.clocks() == ref.clocks() &&
+        store->shard_erases() == ref.sharded()->shard_erases() &&
         ref_stats.migrations == stats.migrations;
   }
   return point;
@@ -188,7 +152,6 @@ int main(int argc, char** argv) {
     std::cerr << "--ops must be > 0\n";
     return 1;
   }
-  const uint32_t total_blocks = env.flash_cfg.geometry.num_blocks;
   const uint32_t num_shards = static_cast<uint32_t>(flags.GetInt("shards", 4));
   const uint32_t batch_size = static_cast<uint32_t>(flags.GetInt("batch", 8));
   const uint32_t depth = static_cast<uint32_t>(flags.GetInt("depth", 4));
@@ -229,7 +192,7 @@ int main(int argc, char** argv) {
       "%s, %u shards, %u blocks total, %llu ops\n(rebalance epoch %llu ops, "
       "%u buckets/shard, up to %u swaps per rebalance;\n erase_ratio = "
       "max/min per-shard erase delta over the measured run)\n\n",
-      method_name.c_str(), num_shards, total_blocks,
+      method_name.c_str(), num_shards, env.flash_cfg.geometry.num_blocks,
       static_cast<unsigned long long>(env.measure_ops),
       static_cast<unsigned long long>(params.rebalance_epoch_ops),
       wl_base.buckets_per_shard, wl_base.max_swaps_per_rebalance);
@@ -249,8 +212,7 @@ int main(int argc, char** argv) {
       workload::WorkloadParams wp = params;
       wp.hot_shard_pct = hot;
       auto point = RunPoint(env, *spec, num_shards, batch_size, depth,
-                            queue_capacity, wp, total_blocks, threshold,
-                            wl_base, check);
+                            queue_capacity, wp, threshold, wl_base, check);
       if (!point.ok()) {
         std::cerr << method_name << " hot=" << hot << " thresh=" << threshold
                   << ": " << point.status().ToString() << "\n";

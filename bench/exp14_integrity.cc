@@ -31,7 +31,6 @@
 #include <chrono>
 #include <cstdio>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -57,58 +56,6 @@ struct IntegrityPoint {
   bool checked = false;
 };
 
-struct PreparedRun {
-  std::unique_ptr<ftl::ShardedStore> store;
-  std::unique_ptr<workload::UpdateDriver> driver;
-  workload::Schedule schedule;
-};
-
-/// Builds a sharded store + driver at steady state and pre-draws the
-/// measured schedule; identical arguments yield identical state. The error
-/// injector is attached only after warmup, so every point measures the same
-/// warmed flash image and the sweep isolates the read-path costs.
-Result<PreparedRun> Prepare(const harness::ExperimentEnv& env,
-                            const methods::MethodSpec& spec,
-                            uint32_t num_shards, uint32_t total_blocks,
-                            uint32_t disturb_limit, uint64_t epoch_ops,
-                            bool scrub, flash::FaultInjector* injector) {
-  flash::FlashConfig shard_cfg = env.flash_cfg;
-  shard_cfg.geometry.num_blocks = total_blocks / num_shards;
-  if (shard_cfg.geometry.num_blocks < 8) {
-    return Status::InvalidArgument(
-        "too many shards for --blocks: " +
-        std::to_string(shard_cfg.geometry.num_blocks) +
-        " blocks/shard, need >= 8");
-  }
-  shard_cfg.read_disturb_limit = disturb_limit;
-  const auto& g = shard_cfg.geometry;
-  const uint32_t pages_per_shard = g.total_pages() - 2 * g.pages_per_block;
-  const uint32_t db_pages = static_cast<uint32_t>(
-      env.utilization * static_cast<double>(pages_per_shard) * num_shards);
-
-  PreparedRun run;
-  run.store = methods::CreateShardedStore(shard_cfg, num_shards, spec);
-  workload::WorkloadParams wp;
-  wp.pct_changed_by_one_op = 2.0;
-  wp.updates_till_write = 1;
-  wp.seed = env.seed;
-  wp.rebalance_epoch_ops = epoch_ops;
-  wp.scrub = scrub;
-  run.driver = std::make_unique<workload::UpdateDriver>(run.store.get(), wp);
-  FLASHDB_RETURN_IF_ERROR(run.driver->LoadDatabase(db_pages));
-  const uint64_t warmup_cap =
-      env.warmup_max_ops != 0 ? env.warmup_max_ops : 20ULL * db_pages;
-  FLASHDB_RETURN_IF_ERROR(
-      run.driver->Warmup(env.warmup_erases_per_block, warmup_cap));
-  run.schedule = run.driver->MakeSchedule(env.measure_ops);
-  if (injector != nullptr) {
-    for (uint32_t i = 0; i < num_shards; ++i) {
-      run.store->shard_device(i)->set_fault_injector(injector);
-    }
-  }
-  return run;
-}
-
 /// Measures one (method, error-rate, scrub) cell: a sequential RunBatched
 /// execution for the deterministic metrics, plus (with `check`) a threaded
 /// RunPipelined execution of the identical schedule whose per-chip clocks
@@ -118,15 +65,33 @@ Result<IntegrityPoint> RunPoint(const harness::ExperimentEnv& env,
                                 flash::FaultInjector* injector, bool scrub,
                                 uint32_t num_shards, uint32_t batch_size,
                                 uint32_t depth, size_t queue_capacity,
-                                uint32_t total_blocks, uint32_t disturb_limit,
-                                uint64_t epoch_ops, bool check) {
+                                uint32_t disturb_limit, uint64_t epoch_ops,
+                                bool check) {
+  harness::ExperimentEnv rig_env = env;
+  rig_env.flash_cfg.read_disturb_limit = disturb_limit;
+  workload::WorkloadParams params;
+  params.rebalance_epoch_ops = epoch_ops;
+  params.scrub = scrub;
+  // Identical calls yield identical rigs. The error injector is attached
+  // only after warmup, so every point measures the same warmed flash image
+  // and the sweep isolates the read-path costs.
+  auto warm_rig = [&]() -> Result<harness::Rig> {
+    FLASHDB_ASSIGN_OR_RETURN(harness::Rig rig,
+                             harness::Rig::Sharded(rig_env, spec, num_shards));
+    FLASHDB_RETURN_IF_ERROR(rig.LoadAndWarm(params));
+    if (injector != nullptr) {
+      for (flash::FlashDevice* dev : rig.devices()) {
+        dev->set_fault_injector(injector);
+      }
+    }
+    return rig;
+  };
+
   IntegrityPoint point;
-  FLASHDB_ASSIGN_OR_RETURN(
-      PreparedRun run, Prepare(env, spec, num_shards, total_blocks,
-                               disturb_limit, epoch_ops, scrub, injector));
+  FLASHDB_ASSIGN_OR_RETURN(harness::Rig run, warm_rig());
   workload::RunStats stats;
-  FLASHDB_RETURN_IF_ERROR(
-      run.driver->RunBatched(run.schedule, batch_size, &stats));
+  FLASHDB_RETURN_IF_ERROR(run.driver()->RunBatched(
+      run.driver()->MakeSchedule(env.measure_ops), batch_size, &stats));
   const double ops = static_cast<double>(env.measure_ops);
   point.vt_us_per_op = static_cast<double>(stats.elapsed_vt_us) / ops;
   point.retry_us_per_op = stats.retry_us_per_op();
@@ -137,16 +102,16 @@ Result<IntegrityPoint> RunPoint(const harness::ExperimentEnv& env,
   point.relocated = stats.scrub_relocations;
 
   if (check) {
-    FLASHDB_ASSIGN_OR_RETURN(
-        PreparedRun rep, Prepare(env, spec, num_shards, total_blocks,
-                                 disturb_limit, epoch_ops, scrub, injector));
+    FLASHDB_ASSIGN_OR_RETURN(harness::Rig rep, warm_rig());
+    const workload::Schedule schedule =
+        rep.driver()->MakeSchedule(env.measure_ops);
     ftl::ShardExecutor executor(num_shards, queue_capacity);
     workload::RunStats rep_stats;
-    FLASHDB_RETURN_IF_ERROR(rep.driver->RunPipelined(
-        rep.schedule, batch_size, depth, &executor, &rep_stats));
+    FLASHDB_RETURN_IF_ERROR(rep.driver()->RunPipelined(
+        schedule, batch_size, depth, &executor, &rep_stats));
     point.checked = true;
     point.deterministic =
-        rep.store->shard_clocks() == run.store->shard_clocks() &&
+        rep.clocks() == run.clocks() &&
         rep_stats.read_retries == stats.read_retries &&
         rep_stats.scrub_relocations == stats.scrub_relocations;
   }
@@ -162,7 +127,6 @@ int main(int argc, char** argv) {
     std::cerr << "--ops must be > 0\n";
     return 1;
   }
-  const uint32_t total_blocks = env.flash_cfg.geometry.num_blocks;
   const uint32_t num_shards = static_cast<uint32_t>(flags.GetInt("shards", 2));
   const uint32_t batch_size = static_cast<uint32_t>(flags.GetInt("batch", 8));
   const uint32_t depth = static_cast<uint32_t>(flags.GetInt("depth", 4));
@@ -184,7 +148,7 @@ int main(int argc, char** argv) {
       "%u shards, %u blocks total, %llu ops\n(retry ladder <= "
       "max_read_retries passes; scrub drains device flags every %llu ops; "
       "disturb_factor %.3f, disturb limit %u reads)\n\n",
-      num_shards, total_blocks,
+      num_shards, env.flash_cfg.geometry.num_blocks,
       static_cast<unsigned long long>(env.measure_ops),
       static_cast<unsigned long long>(epoch_ops), disturb_factor,
       disturb_limit);
@@ -209,8 +173,7 @@ int main(int argc, char** argv) {
       for (const bool scrub : {false, true}) {
         auto point =
             RunPoint(env, *spec, fi, scrub, num_shards, batch_size, depth,
-                     queue_capacity, total_blocks, disturb_limit, epoch_ops,
-                     check);
+                     queue_capacity, disturb_limit, epoch_ops, check);
         if (!point.ok()) {
           std::cerr << name << " ber=" << ber << " scrub=" << scrub << ": "
                     << point.status().ToString() << "\n";

@@ -35,8 +35,6 @@
 #include <chrono>
 #include <cstdio>
 #include <iostream>
-#include <memory>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -75,109 +73,6 @@ struct LatencyPoint {
   uint64_t trace_dropped = 0;
 };
 
-/// A fully prepared rig: flat (one chip) or sharded, at steady state, with
-/// the measured schedule pre-drawn. Identical arguments yield identical
-/// state, which is what the determinism replays rely on.
-struct PreparedRun {
-  std::unique_ptr<flash::FlashDevice> flat_dev;  // flat rigs only
-  std::unique_ptr<PageStore> flat_store;
-  std::unique_ptr<ftl::ShardedStore> sharded;
-  std::unique_ptr<workload::UpdateDriver> driver;
-
-  PageStore* store() {
-    return sharded != nullptr ? static_cast<PageStore*>(sharded.get())
-                              : flat_store.get();
-  }
-  /// Per-chip virtual clocks, uniform across both rig shapes.
-  std::vector<uint64_t> clocks() {
-    if (sharded != nullptr) return sharded->shard_clocks();
-    return {flat_dev->clock().now_us()};
-  }
-};
-
-Result<PreparedRun> Prepare(const harness::ExperimentEnv& env,
-                            const methods::MethodSpec& spec,
-                            const Config& cfg, uint32_t total_blocks,
-                            uint64_t epoch_ops, double hot_pct,
-                            uint32_t disturb_limit,
-                            flash::FaultInjector* injector) {
-  flash::FlashConfig shard_cfg = env.flash_cfg;
-  shard_cfg.geometry.num_blocks = total_blocks / cfg.shards;
-  if (shard_cfg.geometry.num_blocks < 8) {
-    return Status::InvalidArgument(
-        "too many shards for --blocks: " +
-        std::to_string(shard_cfg.geometry.num_blocks) +
-        " blocks/shard, need >= 8");
-  }
-  const bool scrubbing = std::string(cfg.extra) == "scrub";
-  const bool leveling = std::string(cfg.extra) == "wear";
-  if (scrubbing) shard_cfg.read_disturb_limit = disturb_limit;
-  const auto& g = shard_cfg.geometry;
-  const uint32_t pages_per_shard = g.total_pages() - 2 * g.pages_per_block;
-  const uint32_t db_pages = static_cast<uint32_t>(
-      env.utilization * static_cast<double>(pages_per_shard) * cfg.shards);
-
-  PreparedRun run;
-  PageStore* store = nullptr;
-  if (cfg.shards == 1) {
-    // The flat rig exercises the "no ShardedStore required" pipelined path.
-    run.flat_dev = std::make_unique<flash::FlashDevice>(shard_cfg);
-    run.flat_store = methods::CreateStore(run.flat_dev.get(), spec);
-    store = run.flat_store.get();
-  } else {
-    run.sharded = methods::CreateShardedStore(shard_cfg, cfg.shards, spec);
-    store = run.sharded.get();
-  }
-
-  workload::WorkloadParams wp;
-  wp.seed = env.seed;
-  wp.record_latency = true;
-  if (leveling) {
-    wp.rebalance_epoch_ops = epoch_ops;
-    wp.hot_shard_pct = hot_pct;  // gives the rebalancer something to level
-    ftl::WearLevelConfig wl;
-    FLASHDB_RETURN_IF_ERROR(run.sharded->router()->EnableRebalancing(wl));
-  }
-  if (scrubbing) {
-    wp.rebalance_epoch_ops = epoch_ops;
-    wp.scrub = true;
-  }
-  run.driver = std::make_unique<workload::UpdateDriver>(store, wp);
-  FLASHDB_RETURN_IF_ERROR(run.driver->LoadDatabase(db_pages));
-  const uint64_t warmup_cap =
-      env.warmup_max_ops != 0 ? env.warmup_max_ops : 20ULL * db_pages;
-  FLASHDB_RETURN_IF_ERROR(
-      run.driver->Warmup(env.warmup_erases_per_block, warmup_cap));
-  // The measured schedule is NOT pre-drawn here: the sequential rows draw
-  // their ops inside Run(), so a scheduled rig must call MakeSchedule at
-  // this exact RNG point to execute the very same operations.
-  // Post-warmup attach: every point measures the same warmed flash image.
-  if (injector != nullptr && scrubbing) {
-    if (run.sharded != nullptr) {
-      for (uint32_t i = 0; i < cfg.shards; ++i) {
-        run.sharded->shard_device(i)->set_fault_injector(injector);
-      }
-    } else {
-      run.flat_dev->set_fault_injector(injector);
-    }
-  }
-  return run;
-}
-
-/// Attaches a recorder's lanes to every chip of the rig plus the driver's
-/// wall lane (one lane per shard: shard confinement makes them
-/// single-writer).
-void AttachTrace(PreparedRun* run, uint32_t shards, obs::TraceRecorder* rec) {
-  if (run->sharded != nullptr) {
-    for (uint32_t i = 0; i < shards; ++i) {
-      run->sharded->shard_device(i)->set_trace(rec->shard(i));
-    }
-  } else {
-    run->flat_dev->set_trace(rec->shard(0));
-  }
-  run->driver->set_wall_trace(rec->wall_lane());
-}
-
 /// Runs one cell in its own mode, then (with `check`) replays the identical
 /// operations through a different mode on an identically prepared rig and
 /// compares chip clocks, the full histogram, the worst-op sample, and the
@@ -186,10 +81,48 @@ void AttachTrace(PreparedRun* run, uint32_t shards, obs::TraceRecorder* rec) {
 Result<LatencyPoint> RunPoint(const harness::ExperimentEnv& env,
                               const methods::MethodSpec& spec,
                               const Config& cfg, uint32_t batch_size,
-                              size_t queue_capacity, uint32_t total_blocks,
-                              uint64_t epoch_ops, double hot_pct,
-                              uint32_t disturb_limit, double ber,
-                              bool check, uint64_t point_index) {
+                              size_t queue_capacity, uint64_t epoch_ops,
+                              double hot_pct, uint32_t disturb_limit,
+                              double ber, bool check, uint64_t point_index) {
+  const bool scrubbing = std::string(cfg.extra) == "scrub";
+  const bool leveling = std::string(cfg.extra) == "wear";
+  harness::ExperimentEnv rig_env = env;
+  if (scrubbing) rig_env.flash_cfg.read_disturb_limit = disturb_limit;
+  workload::WorkloadParams params;
+  params.record_latency = true;
+  if (leveling) {
+    params.rebalance_epoch_ops = epoch_ops;
+    params.hot_shard_pct = hot_pct;  // gives the rebalancer something to level
+  }
+  if (scrubbing) {
+    params.rebalance_epoch_ops = epoch_ops;
+    params.scrub = true;
+  }
+  // Identical calls yield identical steady-state rigs: flat at one shard
+  // (the "no ShardedStore required" pipelined path), sharded otherwise. The
+  // injector is attached after warmup, so every point measures the same
+  // warmed flash image.
+  auto warm_rig = [&](flash::FaultInjector* injector) -> Result<harness::Rig> {
+    Result<harness::Rig> built =
+        cfg.shards == 1 ? harness::Rig::Flat(rig_env, spec)
+                        : harness::Rig::Sharded(rig_env, spec, cfg.shards);
+    FLASHDB_ASSIGN_OR_RETURN(harness::Rig rig, std::move(built));
+    if (leveling) {
+      if (rig.sharded() == nullptr) {
+        return Status::InvalidArgument("extra=wear needs --shards > 1");
+      }
+      FLASHDB_RETURN_IF_ERROR(
+          rig.sharded()->router()->EnableRebalancing(ftl::WearLevelConfig{}));
+    }
+    FLASHDB_RETURN_IF_ERROR(rig.LoadAndWarm(params));
+    if (scrubbing) {
+      for (flash::FlashDevice* dev : rig.devices()) {
+        dev->set_fault_injector(injector);
+      }
+    }
+    return rig;
+  };
+
   // Each rig gets its own injector so retry-attenuation RNG state never
   // leaks between the primary run and the replay.
   flash::BitErrorInjector::Params inj_params;
@@ -202,35 +135,30 @@ Result<LatencyPoint> RunPoint(const harness::ExperimentEnv& env,
   const uint32_t batch = cfg.shards == 1 ? 1 : batch_size;
 
   LatencyPoint point;
-  FLASHDB_ASSIGN_OR_RETURN(
-      PreparedRun run,
-      Prepare(env, spec, cfg, total_blocks, epoch_ops, hot_pct, disturb_limit,
-              &primary_injector));
+  FLASHDB_ASSIGN_OR_RETURN(harness::Rig run, warm_rig(&primary_injector));
   // Post-warmup attach: the timeline covers exactly the measured ops.
   obs::TraceRecorder recorder(cfg.shards);
-  AttachTrace(&run, cfg.shards, &recorder);
+  run.AttachTrace(&recorder);
   if (cfg.depth == 0) {
     const auto t0 = std::chrono::steady_clock::now();
     FLASHDB_RETURN_IF_ERROR(
-        run.driver->Run(env.measure_ops, &point.stats));
+        run.driver()->Run(env.measure_ops, &point.stats));
     point.wall_ms = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
   } else {
+    // The schedule is drawn here, not in the rig: the sequential rows draw
+    // their ops inside Run(), and a scheduled rig must draw at this exact
+    // RNG point to execute the very same operations.
     const workload::Schedule schedule =
-        run.driver->MakeSchedule(env.measure_ops);
-    std::vector<int> pins;
-    if (cfg.pin && CpuPinningSupported()) {
-      pins.resize(cfg.shards);
-      std::iota(pins.begin(), pins.end(), 0);
-      const uint32_t cores = NumAvailableCores();
-      for (int& c : pins) c = c % static_cast<int>(cores);
-    }
+        run.driver()->MakeSchedule(env.measure_ops);
     // Workers spawn (and pin) outside the timed region; the measured span
     // is pure submit/execute/complete.
-    ftl::ShardExecutor executor(cfg.shards, queue_capacity, pins);
+    ftl::ShardExecutor executor(
+        cfg.shards, queue_capacity,
+        cfg.pin ? RoundRobinWorkerCores(cfg.shards) : std::vector<int>{});
     const auto t0 = std::chrono::steady_clock::now();
-    FLASHDB_RETURN_IF_ERROR(run.driver->RunPipelined(
+    FLASHDB_RETURN_IF_ERROR(run.driver()->RunPipelined(
         schedule, batch, cfg.depth, &executor, &point.stats));
     point.wall_ms = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - t0)
@@ -245,24 +173,21 @@ Result<LatencyPoint> RunPoint(const harness::ExperimentEnv& env,
   }
 
   if (check) {
-    FLASHDB_ASSIGN_OR_RETURN(
-        PreparedRun ref,
-        Prepare(env, spec, cfg, total_blocks, epoch_ops, hot_pct,
-                disturb_limit, &replay_injector));
+    FLASHDB_ASSIGN_OR_RETURN(harness::Rig ref, warm_rig(&replay_injector));
     obs::TraceRecorder ref_recorder(cfg.shards);
-    AttachTrace(&ref, cfg.shards, &ref_recorder);
+    ref.AttachTrace(&ref_recorder);
     workload::RunStats ref_stats;
     const workload::Schedule ref_schedule =
-        ref.driver->MakeSchedule(env.measure_ops);
+        ref.driver()->MakeSchedule(env.measure_ops);
     if (cfg.depth == 0) {
       // Sequential rows replay through the single-worker pipelined mode --
       // the cross-mode proof the flat path exists for.
       ftl::ShardExecutor executor(1, queue_capacity);
-      FLASHDB_RETURN_IF_ERROR(ref.driver->RunPipelined(
+      FLASHDB_RETURN_IF_ERROR(ref.driver()->RunPipelined(
           ref_schedule, 1, 4, &executor, &ref_stats));
     } else {
       FLASHDB_RETURN_IF_ERROR(
-          ref.driver->RunBatched(ref_schedule, batch, &ref_stats));
+          ref.driver()->RunBatched(ref_schedule, batch, &ref_stats));
     }
     point.checked = true;
     point.deterministic = ref.clocks() == run.clocks() &&
@@ -285,7 +210,6 @@ int main(int argc, char** argv) {
     std::cerr << "--ops must be > 0\n";
     return 1;
   }
-  const uint32_t total_blocks = env.flash_cfg.geometry.num_blocks;
   const uint32_t num_shards = static_cast<uint32_t>(flags.GetInt("shards", 4));
   const uint32_t batch_size = static_cast<uint32_t>(flags.GetInt("batch", 8));
   const uint32_t depth = static_cast<uint32_t>(flags.GetInt("depth", 4));
@@ -303,7 +227,8 @@ int main(int argc, char** argv) {
       "%llu ops\n(virtual-time percentiles in us; seq and shards=1 pipe "
       "rows are bit-identical by\n construction; pin rows may only move "
       "wall_ms; extra=wear/scrub add epoch work\n every %llu ops)\n\n",
-      total_blocks, static_cast<unsigned long long>(env.measure_ops),
+      env.flash_cfg.geometry.num_blocks,
+      static_cast<unsigned long long>(env.measure_ops),
       static_cast<unsigned long long>(epoch_ops));
 
   const std::vector<Config> configs = {
@@ -332,8 +257,8 @@ int main(int argc, char** argv) {
     }
     for (const Config& cfg : configs) {
       auto point = RunPoint(env, *spec, cfg, batch_size, queue_capacity,
-                            total_blocks, epoch_ops, hot_pct, disturb_limit,
-                            ber, check, point_index);
+                            epoch_ops, hot_pct, disturb_limit, ber, check,
+                            point_index);
       if (!point.ok()) {
         std::cerr << name << " " << cfg.mode << " shards=" << cfg.shards
                   << " K=" << cfg.depth << " extra=" << cfg.extra << ": "

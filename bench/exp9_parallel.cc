@@ -7,9 +7,13 @@
 // whose write-backs go through the batched WriteBatch path. For PDL(256B)
 // and OPU the bench reports, per (S, B):
 //   * wall_ms / kops_s -- host wall-clock (std::chrono) over the measured
-//     ops; this is the figure that should scale with S on a multi-core host
-//     (the virtual-time speedup of exp8 becomes real).
-//   * par us/op       -- elapsed virtual time (max of the chip clocks).
+//     ops; this is the figure that should scale with S on a multi-core host.
+//   * par us/op       -- elapsed virtual time (max of the chip clocks); it
+//     should fall roughly as 1/S under the uniform workload.
+//   * total us/op     -- summed device busy time across chips (the work
+//     done); flat across S up to GC boundary effects. At --batch=1 these two
+//     columns are the multi-chip scaling figures of a sequential Run() loop
+//     over the same store.
 //   * p50/p99/p999    -- per-op virtual-time latency percentiles
 //     (deterministic; identical whether or not --pin is set).
 //   * determinism     -- the same schedule is replayed sequentially through
@@ -26,7 +30,6 @@
 #include <chrono>
 #include <cstdio>
 #include <iostream>
-#include <numeric>
 #include <vector>
 
 #include "common/cpu_affinity.h"
@@ -59,75 +62,31 @@ struct ParallelPoint {
   bool checked = false;
 };
 
-struct PreparedRun {
-  std::unique_ptr<ftl::ShardedStore> store;
-  std::unique_ptr<workload::UpdateDriver> driver;
-  workload::Schedule schedule;
-};
-
-/// Builds a store + driver at steady state and pre-draws the measured
-/// schedule; two calls with identical arguments yield identical state.
-Result<PreparedRun> Prepare(const harness::ExperimentEnv& env,
-                            const methods::MethodSpec& spec,
-                            uint32_t num_shards,
-                            const workload::WorkloadParams& params,
-                            uint32_t total_blocks) {
-  flash::FlashConfig shard_cfg = env.flash_cfg;
-  shard_cfg.geometry.num_blocks = total_blocks / num_shards;
-  if (shard_cfg.geometry.num_blocks < 8) {
-    return Status::InvalidArgument(
-        "too many shards for --blocks: " +
-        std::to_string(shard_cfg.geometry.num_blocks) +
-        " blocks/shard, need >= 8");
-  }
-  const auto& g = shard_cfg.geometry;
-  const uint32_t pages_per_shard = g.total_pages() - 2 * g.pages_per_block;
-  const uint32_t db_pages = static_cast<uint32_t>(
-      env.utilization * static_cast<double>(pages_per_shard) * num_shards);
-
-  PreparedRun run;
-  run.store = methods::CreateShardedStore(shard_cfg, num_shards, spec);
-  workload::WorkloadParams wp = params;
-  wp.seed = env.seed;
-  run.driver =
-      std::make_unique<workload::UpdateDriver>(run.store.get(), wp);
-  FLASHDB_RETURN_IF_ERROR(run.driver->LoadDatabase(db_pages));
-  const uint64_t warmup_cap =
-      env.warmup_max_ops != 0 ? env.warmup_max_ops : 20ULL * db_pages;
-  FLASHDB_RETURN_IF_ERROR(
-      run.driver->Warmup(env.warmup_erases_per_block, warmup_cap));
-  run.schedule = run.driver->MakeSchedule(env.measure_ops);
-  return run;
-}
-
 Result<ParallelPoint> RunParallelPoint(const harness::ExperimentEnv& env,
                                        const methods::MethodSpec& spec,
                                        uint32_t num_shards,
                                        uint32_t batch_size,
                                        const workload::WorkloadParams& params,
-                                       uint32_t total_blocks, bool pin,
-                                       bool check,
+                                       bool pin, bool check,
                                        obs::MetricsRegistry* metrics) {
-  FLASHDB_ASSIGN_OR_RETURN(
-      PreparedRun run, Prepare(env, spec, num_shards, params, total_blocks));
-  const uint64_t parallel0 = run.store->parallel_time_us();
-  const uint64_t total0 = run.store->total_work_us();
+  FLASHDB_ASSIGN_OR_RETURN(harness::Rig run,
+                           harness::Rig::Sharded(env, spec, num_shards));
+  FLASHDB_RETURN_IF_ERROR(run.LoadAndWarm(params));
+  const workload::Schedule schedule =
+      run.driver()->MakeSchedule(env.measure_ops);
+  ftl::ShardedStore* store = run.sharded();
+  const uint64_t parallel0 = store->parallel_time_us();
+  const uint64_t total0 = store->total_work_us();
 
   // Workers spawn outside the timed region; the measured span is pure
-  // submit/execute/join. Pinning (when requested and supported) is a
-  // wall-clock-only knob: worker i -> core i mod available cores.
-  std::vector<int> pin_cores;
-  if (pin && CpuPinningSupported()) {
-    pin_cores.resize(num_shards);
-    std::iota(pin_cores.begin(), pin_cores.end(), 0);
-    const int cores = static_cast<int>(NumAvailableCores());
-    for (int& c : pin_cores) c %= cores;
-  }
-  ftl::ShardExecutor executor(num_shards, /*queue_capacity=*/1024, pin_cores);
+  // submit/execute/join. Pinning is a wall-clock-only knob.
+  ftl::ShardExecutor executor(
+      num_shards, /*queue_capacity=*/1024,
+      pin ? RoundRobinWorkerCores(num_shards) : std::vector<int>{});
   workload::RunStats stats;
   const auto t0 = std::chrono::steady_clock::now();
-  FLASHDB_RETURN_IF_ERROR(run.driver->RunParallel(run.schedule, batch_size,
-                                                  &executor, &stats));
+  FLASHDB_RETURN_IF_ERROR(
+      run.driver()->RunParallel(schedule, batch_size, &executor, &stats));
   const auto t1 = std::chrono::steady_clock::now();
 
   ParallelPoint point;
@@ -138,10 +97,10 @@ Result<ParallelPoint> RunParallelPoint(const harness::ExperimentEnv& env,
                                  point.wall_ms
                            : 0;
   point.parallel_us_per_op =
-      static_cast<double>(run.store->parallel_time_us() - parallel0) /
+      static_cast<double>(store->parallel_time_us() - parallel0) /
       static_cast<double>(env.measure_ops);
   point.total_us_per_op =
-      static_cast<double>(run.store->total_work_us() - total0) /
+      static_cast<double>(store->total_work_us() - total0) /
       static_cast<double>(env.measure_ops);
   const double ops = static_cast<double>(env.measure_ops);
   point.gc_us_per_op = static_cast<double>(stats.gc.total_us()) / ops;
@@ -158,22 +117,22 @@ Result<ParallelPoint> RunParallelPoint(const harness::ExperimentEnv& env,
   if (metrics != nullptr) {
     obs::ImportRunStats(metrics, "run", stats);
     obs::ImportExecutorStats(metrics, "executor", executor);
-    obs::ImportShardedStoreStats(metrics, "store", *run.store);
+    obs::ImportShardedStoreStats(metrics, "store", *store);
   }
 
   if (check) {
     // Replay the identical schedule sequentially on an identically prepared
     // store; thread-confined execution must leave every chip's virtual clock
     // exactly where the threaded run left it.
-    FLASHDB_ASSIGN_OR_RETURN(
-        PreparedRun ref, Prepare(env, spec, num_shards, params, total_blocks));
+    FLASHDB_ASSIGN_OR_RETURN(harness::Rig ref,
+                             harness::Rig::Sharded(env, spec, num_shards));
+    FLASHDB_RETURN_IF_ERROR(ref.LoadAndWarm(params));
     workload::RunStats ref_stats;
-    FLASHDB_RETURN_IF_ERROR(
-        ref.driver->RunBatched(ref.schedule, batch_size, &ref_stats));
+    FLASHDB_RETURN_IF_ERROR(ref.driver()->RunBatched(
+        ref.driver()->MakeSchedule(env.measure_ops), batch_size, &ref_stats));
     point.checked = true;
     point.deterministic =
-        run.store->shard_clocks() == ref.store->shard_clocks() &&
-        stats.latency == ref_stats.latency;
+        run.clocks() == ref.clocks() && stats.latency == ref_stats.latency;
   }
   return point;
 }
@@ -187,7 +146,6 @@ int main(int argc, char** argv) {
     std::cerr << "--ops must be > 0\n";
     return 1;
   }
-  const uint32_t total_blocks = env.flash_cfg.geometry.num_blocks;
   const bool check = flags.GetBool("check", true);
   const bool pin = flags.GetBool("pin", false);
 
@@ -210,7 +168,8 @@ int main(int argc, char** argv) {
       "Experiment 9: wall-clock multi-chip scaling, %u blocks total, "
       "%llu ops\n(one ShardExecutor worker per shard; batched WriteBacks; "
       "speedup = wall-clock vs 1 shard at the same batch size)\n\n",
-      total_blocks, static_cast<unsigned long long>(env.measure_ops));
+      env.flash_cfg.geometry.num_blocks,
+      static_cast<unsigned long long>(env.measure_ops));
 
   const std::vector<std::string> method_names = {"PDL(256B)", "OPU"};
   TablePrinter tbl({"Method", "Shards", "Batch", "wall_ms", "kops/s",
@@ -229,8 +188,8 @@ int main(int argc, char** argv) {
     for (uint32_t batch : batch_sizes) {
       double base_wall = 0;
       for (uint32_t shards : {1u, 2u, 4u, 8u}) {
-        auto point = RunParallelPoint(env, *spec, shards, batch, params,
-                                      total_blocks, pin, check, &metrics);
+        auto point = RunParallelPoint(env, *spec, shards, batch, params, pin,
+                                      check, &metrics);
         metrics.SnapshotEpoch(point_index++);
         if (!point.ok()) {
           std::cerr << name << " x" << shards << " b" << batch << ": "

@@ -40,4 +40,12 @@ Status PinCurrentThreadToCore(uint32_t core) {
 #endif
 }
 
+std::vector<int> RoundRobinWorkerCores(uint32_t workers) {
+  if (!CpuPinningSupported()) return {};
+  const uint32_t cores = NumAvailableCores();
+  std::vector<int> pins(workers);
+  for (uint32_t i = 0; i < workers; ++i) pins[i] = static_cast<int>(i % cores);
+  return pins;
+}
+
 }  // namespace flashdb

@@ -12,6 +12,7 @@
 #define FLASHDB_COMMON_CPU_AFFINITY_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "common/status.h"
 
@@ -27,6 +28,10 @@ uint32_t NumAvailableCores();
 /// platforms without an affinity syscall and IOError when the kernel
 /// rejects the mask (e.g. core outside the process's cpuset).
 Status PinCurrentThreadToCore(uint32_t core);
+
+/// Executor pin list for `workers` workers: worker i -> core i mod
+/// NumAvailableCores(). Empty (workers unpinned) when pinning is unsupported.
+std::vector<int> RoundRobinWorkerCores(uint32_t workers);
 
 }  // namespace flashdb
 

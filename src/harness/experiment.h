@@ -12,9 +12,11 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "harness/cli.h"
 #include "methods/method_factory.h"
+#include "obs/trace_recorder.h"
 #include "workload/update_driver.h"
 
 namespace flashdb::harness {
@@ -51,20 +53,77 @@ struct ExperimentEnv {
   /// pinned by tests/trace_test.cc).
   std::string trace_path;
 
-  uint32_t num_db_pages() const {
-    // Two blocks of headroom keep IPL(64KB) feasible at 50% utilization: its
-    // per-block log region (half the block) means the database occupies the
-    // whole chip, and merging still needs one spare block.
-    const auto& g = flash_cfg.geometry;
-    return static_cast<uint32_t>(
-        utilization *
-        static_cast<double>(g.total_pages() - 2 * g.pages_per_block));
-  }
+  /// Database pages for a single chip of `flash_cfg` (Rig::db_pages() of a
+  /// flat rig).
+  uint32_t num_db_pages() const;
 
   /// Common bench flags: --blocks, --page-size, --util, --warmup-epb,
   /// --warmup-max, --ops, --seed, --tread, --twrite, --terase, --dies,
   /// --planes, --pipeline, --trace.
   static ExperimentEnv FromFlags(const Flags& flags);
+};
+
+/// A store at the paper's measurement state (section 5.1): one method on one
+/// chip or on several, loaded at `env.utilization` and warmed up to
+/// `env.warmup_erases_per_block`. Every bench that measures an update
+/// workload builds it the same way, in two steps:
+///
+///   FLASHDB_ASSIGN_OR_RETURN(Rig rig, Rig::Sharded(env, spec, shards));
+///   // optional: rig.sharded()->router()->EnableRebalancing(...)
+///   FLASHDB_RETURN_IF_ERROR(rig.LoadAndWarm(params));
+///   // optional: fault injectors / trace lanes through devices()
+///   const workload::Schedule s = rig.driver()->MakeSchedule(env.measure_ops);
+///
+/// Two rigs built and warmed from identical arguments hold identical flash
+/// images and clocks; every bench's determinism replay relies on that. The
+/// rig does not pre-draw the schedule: a sequential Run() draws its ops
+/// itself, so a scheduled replay must call MakeSchedule at the same point.
+class Rig {
+ public:
+  /// One device of `env.flash_cfg` and one `spec` store over it.
+  static Rig Flat(const ExperimentEnv& env, const methods::MethodSpec& spec);
+  /// `shards` chips sharing `env.flash_cfg.geometry.num_blocks` evenly.
+  /// InvalidArgument below 8 blocks per chip: the reserve alone would eat
+  /// most of such a chip, and GC at 50% utilization thrashes.
+  static Result<Rig> Sharded(const ExperimentEnv& env,
+                             const methods::MethodSpec& spec,
+                             uint32_t shards);
+
+  /// Creates the driver (with `params.seed = env.seed`), loads db_pages()
+  /// pages and warms up to `env.warmup_erases_per_block`, capped at
+  /// `env.warmup_max_ops` (0 = 20 update operations per database page).
+  Status LoadAndWarm(workload::WorkloadParams params);
+
+  PageStore* store() const;
+  /// The multi-chip store; null on a flat rig.
+  ftl::ShardedStore* sharded() const { return sharded_.get(); }
+  /// Null until LoadAndWarm.
+  workload::UpdateDriver* driver() const { return driver_.get(); }
+  /// Every chip, in shard order (one on a flat rig).
+  std::vector<flash::FlashDevice*> devices() const;
+  /// Per-chip virtual clocks, in shard order.
+  std::vector<uint64_t> clocks() const;
+  /// util x (per-chip pages - 2 blocks) x chips, rounded down once. Two
+  /// blocks of headroom per chip keep IPL(64KB) feasible at 50% utilization:
+  /// its per-block log region (half the block) means the database occupies
+  /// the whole chip, and merging still needs one spare block.
+  uint32_t db_pages() const { return db_pages_; }
+
+  /// Attaches lane i of `rec` to chip i and its wall lane to the driver;
+  /// attach after LoadAndWarm so the timeline covers the measured run only.
+  /// Recording never perturbs virtual time (null-sink contract).
+  void AttachTrace(obs::TraceRecorder* rec) const;
+
+ private:
+  Rig(const ExperimentEnv& env, const flash::FlashGeometry& chip,
+      uint32_t chips);
+
+  ExperimentEnv env_;
+  uint32_t db_pages_ = 0;
+  std::unique_ptr<flash::FlashDevice> flat_dev_;
+  std::unique_ptr<PageStore> flat_store_;
+  std::unique_ptr<ftl::ShardedStore> sharded_;
+  std::unique_ptr<workload::UpdateDriver> driver_;
 };
 
 /// One measured point: a method under a workload.
@@ -73,8 +132,7 @@ struct PointResult {
   workload::RunStats stats;
 };
 
-/// Builds a fresh device+store for `spec`, loads `env.num_db_pages()` pages,
-/// warms up to steady state, then measures `env.measure_ops` operations.
+/// Measures `env.measure_ops` operations on a warmed flat rig for `spec`.
 Result<PointResult> RunWorkloadPoint(const ExperimentEnv& env,
                                      const methods::MethodSpec& spec,
                                      const workload::WorkloadParams& params);

@@ -145,6 +145,7 @@ Status UpdateDriver::Run(uint64_t num_ops, RunStats* out) {
   const flash::FlashStats stats0 = store_->stats();
   const uint64_t clock0 = StoreClockUs();
   auto* sharded = dynamic_cast<ftl::ShardedStore*>(store_);
+  uint64_t update_ops = 0;
 
   for (uint64_t i = 0; i < num_ops; ++i) {
     const PageId pid = DrawPid();
@@ -163,7 +164,7 @@ Status UpdateDriver::Run(uint64_t num_ops, RunStats* out) {
     }
     if (is_update) {
       FLASHDB_RETURN_IF_ERROR(UpdateOperation(pid));
-      out->update_ops++;
+      update_ops++;
     } else {
       FLASHDB_RETURN_IF_ERROR(ReadOperation(pid));
     }
@@ -176,31 +177,9 @@ Status UpdateDriver::Run(uint64_t num_ops, RunStats* out) {
                            sample.total_us, pid, is_update ? 1 : 0);
       }
     }
-    out->operations++;
   }
 
-  out->latency.Merge(pending_latency_);
-  out->worst_op.Offer(pending_worst_);
-  const flash::FlashStats stats1 = store_->stats();
-  out->read_step +=
-      stats1.by_category[static_cast<int>(flash::OpCategory::kReadStep)] -
-      stats0.by_category[static_cast<int>(flash::OpCategory::kReadStep)];
-  out->write_step +=
-      stats1.by_category[static_cast<int>(flash::OpCategory::kWriteStep)] -
-      stats0.by_category[static_cast<int>(flash::OpCategory::kWriteStep)];
-  out->gc += stats1.by_category[static_cast<int>(flash::OpCategory::kGc)] -
-             stats0.by_category[static_cast<int>(flash::OpCategory::kGc)];
-  out->meta += stats1.by_category[static_cast<int>(flash::OpCategory::kMeta)] -
-               stats0.by_category[static_cast<int>(flash::OpCategory::kMeta)];
-  out->erases += stats1.total.erases - stats0.total.erases;
-  const flash::IntegrityCounters integrity =
-      stats1.integrity - stats0.integrity;
-  out->read_retries += integrity.read_retries;
-  out->retry_us += integrity.retry_us;
-  out->reads_corrected += integrity.reads_corrected;
-  out->reads_uncorrectable += integrity.reads_uncorrectable;
-  out->plane_stall_us += stats1.plane_stall_us() - stats0.plane_stall_us();
-  out->elapsed_vt_us += StoreClockUs() - clock0;
+  AccumulateRunStats(stats0, clock0, num_ops, update_ops, out);
   return Status::OK();
 }
 
@@ -405,12 +384,10 @@ uint64_t UpdateDriver::StoreClockUs() const {
 }
 
 void UpdateDriver::AccumulateRunStats(const flash::FlashStats& before,
-                                      uint64_t clock0_us,
-                                      const Schedule& schedule, RunStats* out) {
-  for (const PlannedOp& op : schedule) {
-    out->operations++;
-    if (op.is_update) out->update_ops++;
-  }
+                                      uint64_t clock0_us, uint64_t ops,
+                                      uint64_t update_ops, RunStats* out) {
+  out->operations += ops;
+  out->update_ops += update_ops;
   const flash::FlashStats after = store_->stats();
   out->read_step +=
       after.by_category[static_cast<int>(flash::OpCategory::kReadStep)] -
@@ -494,7 +471,9 @@ Status UpdateDriver::RunEpochs(
       ++epoch_index;
     }
   }
-  AccumulateRunStats(stats0, clock0, schedule, out);
+  uint64_t update_ops = 0;
+  for (const PlannedOp& op : schedule) update_ops += op.is_update ? 1 : 0;
+  AccumulateRunStats(stats0, clock0, schedule.size(), update_ops, out);
   return Status::OK();
 }
 

@@ -373,9 +373,11 @@ class UpdateDriver {
   /// Virtual clock of the store: parallel_time_us() (max over chips) on a
   /// ShardedStore, the single chip's clock otherwise.
   uint64_t StoreClockUs() const;
-  /// Folds the device-stats / clock delta and schedule counts into `*out`.
+  /// Folds the op counts, the device-stats / clock delta since `before` /
+  /// `clock0_us`, and the pending latency samples into `*out`. The one
+  /// accumulator of every run entry point, sequential and scheduled.
   void AccumulateRunStats(const flash::FlashStats& before, uint64_t clock0_us,
-                          const Schedule& schedule, RunStats* out);
+                          uint64_t ops, uint64_t update_ops, RunStats* out);
 
   /// The common run skeleton: snapshots stats, splits `schedule` into
   /// wear-leveling epochs (params_.rebalance_epoch_ops; one chunk when

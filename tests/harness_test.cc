@@ -1,5 +1,5 @@
-// Tests for the experiment harness: flag parsing, table printing, and an
-// end-to-end workload point.
+// Tests for the experiment harness: flag parsing, table printing, the warmed
+// rig every bench builds on, and an end-to-end workload point.
 
 #include <gtest/gtest.h>
 
@@ -103,6 +103,97 @@ TEST(ExperimentTest, ShapeCheckPdlBeatsOpuOnSmallUpdates) {
   ASSERT_TRUE(pdl.ok()) << pdl.status().ToString();
   ASSERT_TRUE(opu.ok()) << opu.status().ToString();
   EXPECT_LT(pdl->stats.overall_us_per_op(), opu->stats.overall_us_per_op());
+}
+
+/// Small enough to warm in milliseconds, deep enough to run GC.
+ExperimentEnv SmallRigEnv(uint32_t blocks) {
+  ExperimentEnv env;
+  env.flash_cfg = flash::FlashConfig::Small(blocks);
+  env.warmup_erases_per_block = 1.0;
+  env.warmup_max_ops = 8000;
+  return env;
+}
+
+Result<Rig> WarmRig(const ExperimentEnv& env, const std::string& method,
+                    uint32_t shards) {
+  const methods::MethodSpec spec = *methods::ParseMethodSpec(method);
+  Result<Rig> built = shards == 0 ? Rig::Flat(env, spec)
+                                  : Rig::Sharded(env, spec, shards);
+  FLASHDB_ASSIGN_OR_RETURN(Rig rig, std::move(built));
+  workload::WorkloadParams params;
+  params.pct_changed_by_one_op = 10.0;  // fills PDL's log fast enough to GC
+  FLASHDB_RETURN_IF_ERROR(rig.LoadAndWarm(params));
+  return rig;
+}
+
+// Every bench's determinism replay compares a run against a second rig
+// built from the same arguments; that only proves something if the two
+// rigs start from the same flash image and clocks.
+TEST(RigTest, IdenticalArgumentsGiveIdenticalRigs) {
+  const ExperimentEnv env = SmallRigEnv(16);
+  for (const std::string method : {"PDL(256B)", "OPU"}) {
+    for (const uint32_t shards : {0u, 2u}) {  // 0 = flat
+      SCOPED_TRACE(method + " shards=" + std::to_string(shards));
+      auto a = WarmRig(env, method, shards);
+      auto b = WarmRig(env, method, shards);
+      ASSERT_TRUE(a.ok()) << a.status().ToString();
+      ASSERT_TRUE(b.ok()) << b.status().ToString();
+      EXPECT_EQ(a->clocks(), b->clocks());
+      EXPECT_EQ(a->clocks().size(), shards == 0 ? 1u : shards);
+      ASSERT_GT(a->store()->total_erases(), 0u) << "warm-up never ran GC";
+      const std::vector<flash::FlashDevice*> da = a->devices();
+      const std::vector<flash::FlashDevice*> db = b->devices();
+      ASSERT_EQ(da.size(), db.size());
+      for (size_t chip = 0; chip < da.size(); ++chip) {
+        const flash::FlashGeometry& g = da[chip]->geometry();
+        ASSERT_EQ(g.num_blocks, shards == 0 ? 16u : 16u / shards);
+        for (uint32_t block = 0; block < g.num_blocks; ++block) {
+          for (uint32_t page = 0; page < g.pages_per_block; ++page) {
+            const flash::PhysAddr addr = da[chip]->AddrOf(block, page);
+            ASSERT_TRUE(BytesEqual(da[chip]->RawData(addr),
+                                   db[chip]->RawData(addr)))
+                << "chip " << chip << " block " << block << " page " << page;
+            ASSERT_TRUE(BytesEqual(da[chip]->RawSpare(addr),
+                                   db[chip]->RawSpare(addr)))
+                << "chip " << chip << " block " << block << " page " << page;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RigTest, TooManyShardsIsInvalidArgument) {
+  const ExperimentEnv env = SmallRigEnv(32);
+  auto rig = Rig::Sharded(env, *methods::ParseMethodSpec("OPU"), 5);
+  ASSERT_FALSE(rig.ok());
+  EXPECT_TRUE(rig.status().IsInvalidArgument());
+  EXPECT_NE(rig.status().ToString().find(
+                "too many shards for --blocks: 6 blocks/shard, need >= 8"),
+            std::string::npos)
+      << rig.status().ToString();
+  EXPECT_TRUE(Rig::Sharded(env, *methods::ParseMethodSpec("OPU"), 4).ok());
+}
+
+// The database size rounds once, over all chips: floor(u * p * s), not
+// s * floor(u * p).
+TEST(RigTest, ShardedDbPagesRoundOnceOverAllChips) {
+  ExperimentEnv env = SmallRigEnv(64);
+  env.utilization = 0.3;
+  auto rig = Rig::Sharded(env, *methods::ParseMethodSpec("OPU"), 3);
+  ASSERT_TRUE(rig.ok()) << rig.status().ToString();
+  // 21 blocks per chip: 21 * 64 - 2 * 64 = 1216 usable pages, and
+  // 0.3 * 1216 = 364.8 per chip.
+  EXPECT_EQ(rig->db_pages(), 1094u);  // floor(364.8 * 3), not 3 * 364
+}
+
+TEST(RigTest, FlatDbPagesMatchNumDbPages) {
+  for (const double util : {0.3, 0.5, 0.77}) {
+    ExperimentEnv env = SmallRigEnv(64);
+    env.utilization = util;
+    const Rig rig = Rig::Flat(env, *methods::ParseMethodSpec("OPU"));
+    EXPECT_EQ(rig.db_pages(), env.num_db_pages()) << "util " << util;
+  }
 }
 
 }  // namespace
