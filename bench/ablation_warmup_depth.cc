@@ -5,7 +5,8 @@
 // costs climb as pages absorb more updates (differentials approach a full
 // page and the differential region fills), until Case 3 resets them.
 // Page-based methods are depth-insensitive. This explains why PDL(2KB)
-// results are sensitive to the warm-up protocol (see EXPERIMENTS.md); the
+// results are sensitive to the warm-up protocol (see the `--warmup-epb` /
+// `--warmup-max` rows and the Rig paragraph of docs/BENCHMARKS.md); the
 // paper's 10-erases-per-block warm-up corresponds to a depth of ~20 at its
 // scale.
 

@@ -1,35 +1,33 @@
 // Experiment 10 (beyond the paper): continuous cross-shard pipelining under
-// skew -- RunPipelined's bounded per-shard credits vs RunParallel's
-// shard-sequential submission.
+// skew -- UpdateDriver::Execute's round-robin submission with bounded
+// per-shard credits, against the inline execution of the same schedule.
 //
 // The workload deliberately skews the pid distribution: --hot percent of the
 // operations target shard 0's residue class (pid % S == 0), making chip 0 a
-// hotspot the way a hot relation pins one flash channel. The executor rings
-// are kept small (--queue) to model a steady-state flusher with bounded
-// buffering. Under those two conditions RunParallel head-of-line blocks: the
-// producer drip-feeds one shard's windows through its full ring while every
-// other chip sits idle, so wall-clock degenerates toward the *sum* of the
-// shard workloads. RunPipelined streams windows round-robin with at most K
-// in flight per shard, so the cold chips overlap the hot one and wall-clock
-// tracks the *max*.
+// hotspot the way a hot relation pins one flash channel. The inline row runs
+// every shard's windows on the calling thread, so its wall-clock is the *sum*
+// of the shard workloads. The pipelined rows stream windows round-robin to
+// one executor worker per shard with at most K in flight per shard, so the
+// cold chips overlap the hot one and wall-clock tracks the *max*.
 //
-// For PDL(256B) and OPU the bench reports, per mode (parallel, pipelined
-// with K in --depth):
-//   * wall_ms / kops_s -- host wall-clock over the measured ops;
-//   * speedup          -- wall-clock of RunParallel over this mode (1.00x
-//     for the parallel row itself; > 1 means pipelining won);
+// For PDL(256B) and OPU the bench reports, per mode (inline, pipelined with
+// K in --depth):
+//   * wall_ms / kops_s -- host wall-clock over the measured ops, minimum over
+//     --reps identically prepared executions;
+//   * speedup          -- inline wall-clock over this mode (1.00x for the
+//     inline row itself; > 1 means the threads paid off);
 //   * lag_ms           -- shard clock spread max-min (virtual time) at the
 //     end of the run: how far the hot chip ran ahead, the skew observable;
 //   * par us/op        -- elapsed virtual time (max of the chip clocks);
 //   * p50/p99/p999     -- per-op virtual-time latency percentiles
 //     (deterministic; identical whether or not --pin is set);
-//   * determinism      -- per-chip virtual clocks must match a sequential
-//     RunBatched replay of the same schedule bit-for-bit (ok/FAIL; --check=0
-//     disables the replay).
+//   * determinism      -- every rep's per-chip virtual clocks and latency
+//     histogram must match the inline row's bit-for-bit (ok/FAIL); on the
+//     inline row, the reps must match each other.
 //
-// Expected shape: pipelined K>=2 beats parallel by roughly
-// (total work)/(hot shard work); K=1 already wins on submission interleave
-// but leaves the workers briefly idle between windows; determinism always ok.
+// Expected shape: pipelined K>=2 beats inline by up to (total work)/(hot
+// shard work); K=1 leaves the workers briefly idle between windows;
+// determinism always ok.
 
 #include <algorithm>
 #include <chrono>
@@ -55,9 +53,9 @@ struct PipelinePoint {
   double parallel_us_per_op = 0;
   double lag_ms = 0;
   // Stall attribution: gc/meta are induced virtual-time device traffic
-  // (deterministic); wait_ms is the wall-clock the producer spent parked on
-  // per-shard credits (RunPipelined only, min over reps, noisy -- reported,
-  // never gated).
+  // (deterministic); wait_ms is the wall-clock the producer spent waiting
+  // for per-shard credits (pipelined rows only, min over reps, noisy --
+  // reported, never gated).
   double gc_us_per_op = 0;
   double meta_us_per_op = 0;
   double wait_ms = 0;
@@ -65,26 +63,24 @@ struct PipelinePoint {
   uint64_t p50_us = 0;
   uint64_t p99_us = 0;
   uint64_t p999_us = 0;
-  bool deterministic = true;
-  bool checked = false;
+  // The determinism oracle's inputs: every rep must reproduce them.
+  std::vector<uint64_t> clocks;
+  workload::LatencyHistogram latency;
+  bool reps_agree = true;
 };
 
-/// One measured point. `depth` == 0 selects RunParallel; > 0 selects
-/// RunPipelined with that in-flight depth. Wall-clock is the minimum over
-/// `reps` identically-prepared executions (min, not mean: scheduler and
-/// frequency noise only ever adds time); virtual-time metrics are
-/// deterministic across reps.
+/// One measured point. `depth` == 0 runs the schedule inline; > 0 runs it
+/// threaded with that in-flight depth per shard. Wall-clock is the minimum
+/// over `reps` identically prepared executions (min, not mean: scheduler and
+/// frequency noise only ever adds time); virtual-time metrics must be
+/// identical across reps.
 Result<PipelinePoint> RunPoint(const harness::ExperimentEnv& env,
                                const methods::MethodSpec& spec,
                                uint32_t num_shards, uint32_t batch_size,
-                               uint32_t depth, size_t queue_capacity,
-                               uint32_t reps,
+                               uint32_t depth, uint32_t reps,
                                const workload::WorkloadParams& params,
-                               bool pin, bool check,
-                               obs::MetricsRegistry* metrics) {
+                               bool pin, obs::MetricsRegistry* metrics) {
   PipelinePoint point;
-  std::vector<uint64_t> run_clocks;
-  workload::RunStats last_stats;
   // Pinning is a wall-clock-only knob.
   const std::vector<int> pin_cores =
       pin ? RoundRobinWorkerCores(num_shards) : std::vector<int>{};
@@ -98,22 +94,29 @@ Result<PipelinePoint> RunPoint(const harness::ExperimentEnv& env,
     const uint64_t parallel0 = store->parallel_time_us();
 
     // Workers spawn outside the timed region; the measured span is pure
-    // submit/execute/complete.
-    ftl::ShardExecutor executor(num_shards, queue_capacity, pin_cores);
+    // submit/execute/complete. The inline row leaves them idle, so its
+    // executor counters read 0.
+    ftl::ShardExecutor executor(num_shards, /*queue_capacity=*/1024,
+                                pin_cores);
     workload::RunStats stats;
     const auto t0 = std::chrono::steady_clock::now();
-    if (depth == 0) {
-      FLASHDB_RETURN_IF_ERROR(
-          run.driver()->RunParallel(schedule, batch_size, &executor, &stats));
-    } else {
-      FLASHDB_RETURN_IF_ERROR(run.driver()->RunPipelined(
-          schedule, batch_size, depth, &executor, &stats));
-    }
+    FLASHDB_RETURN_IF_ERROR(run.driver()->Execute(
+        schedule, batch_size, depth, depth == 0 ? nullptr : &executor,
+        &stats));
     const auto t1 = std::chrono::steady_clock::now();
 
     const double wall_ms =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
     if (rep == 0 || wall_ms < point.wall_ms) point.wall_ms = wall_ms;
+    const double wait_ms = static_cast<double>(stats.credit_wait_ns) / 1e6;
+    if (rep == 0 || wait_ms < point.wait_ms) point.wait_ms = wait_ms;
+    if (rep == 0) {
+      point.clocks = run.clocks();
+      point.latency = stats.latency;
+    } else if (run.clocks() != point.clocks ||
+               !(stats.latency == point.latency)) {
+      point.reps_agree = false;
+    }
     point.parallel_us_per_op =
         static_cast<double>(store->parallel_time_us() - parallel0) /
         static_cast<double>(env.measure_ops);
@@ -121,41 +124,22 @@ Result<PipelinePoint> RunPoint(const harness::ExperimentEnv& env,
     const double ops = static_cast<double>(env.measure_ops);
     point.gc_us_per_op = static_cast<double>(stats.gc.total_us()) / ops;
     point.meta_us_per_op = static_cast<double>(stats.meta.total_us()) / ops;
-    const double wait_ms =
-        static_cast<double>(stats.credit_wait_ns) / 1e6;
-    if (rep == 0 || wait_ms < point.wait_ms) point.wait_ms = wait_ms;
     point.p50_us = stats.latency.p50();
     point.p99_us = stats.latency.p99();
     point.p999_us = stats.latency.p999();
     // Uniform metrics object: run breakdown + the executor's per-worker
-    // counters and the store's clock skew, read after the workers quiesce.
-    if (metrics != nullptr && rep == reps - 1) {
+    // counters (final: Execute drained the workers) and the store's clock
+    // skew.
+    if (rep == reps - 1) {
       obs::ImportRunStats(metrics, "run", stats);
       obs::ImportExecutorStats(metrics, "executor", executor);
       obs::ImportShardedStoreStats(metrics, "store", *store);
     }
-    run_clocks = run.clocks();
-    last_stats = stats;
   }
   point.kops_per_sec =
       point.wall_ms > 0
           ? static_cast<double>(env.measure_ops) / point.wall_ms
           : 0;
-
-  if (check) {
-    // Replay the identical schedule sequentially on an identically prepared
-    // store; continuous submission must leave every chip's virtual clock
-    // exactly where the sequential run leaves it.
-    FLASHDB_ASSIGN_OR_RETURN(harness::Rig ref,
-                             harness::Rig::Sharded(env, spec, num_shards));
-    FLASHDB_RETURN_IF_ERROR(ref.LoadAndWarm(params));
-    workload::RunStats ref_stats;
-    FLASHDB_RETURN_IF_ERROR(ref.driver()->RunBatched(
-        ref.driver()->MakeSchedule(env.measure_ops), batch_size, &ref_stats));
-    point.checked = true;
-    point.deterministic = run_clocks == ref.clocks() &&
-                          last_stats.latency == ref_stats.latency;
-  }
   return point;
 }
 
@@ -170,11 +154,8 @@ int main(int argc, char** argv) {
   }
   const uint32_t num_shards = static_cast<uint32_t>(flags.GetInt("shards", 4));
   const uint32_t batch_size = static_cast<uint32_t>(flags.GetInt("batch", 8));
-  const size_t queue_capacity =
-      static_cast<size_t>(flags.GetInt("queue", 8));
   const uint32_t reps =
       std::max<uint32_t>(1, static_cast<uint32_t>(flags.GetInt("reps", 1)));
-  const bool check = flags.GetBool("check", true);
   const bool pin = flags.GetBool("pin", false);
 
   workload::WorkloadParams params;
@@ -196,11 +177,10 @@ int main(int argc, char** argv) {
   std::printf(
       "Experiment 10: cross-shard pipelining under skew, %u shards, "
       "%u blocks total, %llu ops\n(%.0f%% of ops pinned to shard 0; "
-      "executor rings hold %zu windows; batch %u;\n speedup = RunParallel "
-      "wall-clock over this mode)\n\n",
+      "batch %u;\n speedup = inline wall-clock over this mode)\n\n",
       num_shards, env.flash_cfg.geometry.num_blocks,
       static_cast<unsigned long long>(env.measure_ops), params.hot_shard_pct,
-      queue_capacity, batch_size);
+      batch_size);
 
   const std::vector<std::string> method_names = {"PDL(256B)", "OPU"};
   TablePrinter tbl({"Method", "Mode", "K", "wall_ms", "kops/s", "speedup",
@@ -216,26 +196,28 @@ int main(int argc, char** argv) {
       std::cerr << spec.status().ToString() << "\n";
       return 1;
     }
-    double parallel_wall = 0;
-    // depth 0 = the RunParallel reference row, then the pipelined sweep.
+    // depth 0 = the inline reference row, then the pipelined sweep.
     std::vector<uint32_t> points;
     points.push_back(0);
     points.insert(points.end(), depths.begin(), depths.end());
+    PipelinePoint inline_point;
     for (uint32_t depth : points) {
-      auto point =
-          RunPoint(env, *spec, num_shards, batch_size, depth, queue_capacity,
-                   reps, params, pin, check, &metrics);
+      auto point = RunPoint(env, *spec, num_shards, batch_size, depth, reps,
+                            params, pin, &metrics);
       metrics.SnapshotEpoch(point_index++);
       if (!point.ok()) {
         std::cerr << name << " depth " << depth << ": "
                   << point.status().ToString() << "\n";
         return 1;
       }
-      if (depth == 0) parallel_wall = point->wall_ms;
+      if (depth == 0) inline_point = *point;
+      const bool deterministic =
+          point->reps_agree && point->clocks == inline_point.clocks &&
+          point->latency == inline_point.latency;
+      if (!deterministic) failures++;
       const double speedup =
-          point->wall_ms > 0 ? parallel_wall / point->wall_ms : 0;
-      if (point->checked && !point->deterministic) failures++;
-      tbl.AddRow({name, depth == 0 ? "parallel" : "pipelined",
+          point->wall_ms > 0 ? inline_point.wall_ms / point->wall_ms : 0;
+      tbl.AddRow({name, depth == 0 ? "inline" : "pipelined",
                   depth == 0 ? "-" : std::to_string(depth),
                   TablePrinter::Num(point->wall_ms, 2),
                   TablePrinter::Num(point->kops_per_sec),
@@ -248,8 +230,7 @@ int main(int argc, char** argv) {
                   std::to_string(point->p50_us),
                   std::to_string(point->p99_us),
                   std::to_string(point->p999_us),
-                  point->checked ? (point->deterministic ? "ok" : "FAIL")
-                                 : "-"});
+                  deterministic ? "ok" : "FAIL"});
     }
   }
   tbl.Print(std::cout);

@@ -21,10 +21,10 @@
 //   * migr us/op  -- virtual-time cost of the migration copies (the price
 //                    paid for leveling, amortized over the measured ops);
 //   * par us/op   -- elapsed virtual time (max of the chip clocks);
-//   * wall_ms     -- host wall-clock of the measured RunPipelined call;
-//   * determinism -- the measured pipelined run must leave every chip's
+//   * wall_ms     -- host wall-clock of the measured threaded Execute call;
+//   * determinism -- the measured threaded run must leave every chip's
 //                    virtual clock, erase count, and swap count bit-identical
-//                    to a sequential RunBatched replay of the same schedule
+//                    to an inline Execute replay of the same schedule
 //                    (ok/FAIL; --check=0 disables the replay).
 //
 // Expected shape: at hot=0 no swaps happen and all columns match the "off"
@@ -60,8 +60,8 @@ struct WearPoint {
   bool checked = false;
 };
 
-/// One measured point: RunPipelined under the given skew/threshold, with an
-/// optional sequential RunBatched replay as the determinism reference.
+/// One measured point: a threaded Execute under the given skew/threshold,
+/// with an optional inline replay as the determinism reference.
 Result<WearPoint> RunPoint(const harness::ExperimentEnv& env,
                            const methods::MethodSpec& spec,
                            uint32_t num_shards, uint32_t batch_size,
@@ -95,8 +95,8 @@ Result<WearPoint> RunPoint(const harness::ExperimentEnv& env,
   ftl::ShardExecutor executor(num_shards, queue_capacity);
   workload::RunStats stats;
   const auto t0 = std::chrono::steady_clock::now();
-  FLASHDB_RETURN_IF_ERROR(run.driver()->RunPipelined(
-      schedule, batch_size, depth, &executor, &stats));
+  FLASHDB_RETURN_IF_ERROR(
+      run.driver()->Execute(schedule, batch_size, depth, &executor, &stats));
   const auto t1 = std::chrono::steady_clock::now();
   point.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
 
@@ -127,13 +127,14 @@ Result<WearPoint> RunPoint(const harness::ExperimentEnv& env,
   point.wear_cv = flash::SummarizeWear(block_deltas).cv();
 
   if (check) {
-    // Sequential replay of the identical schedule on an identically prepared
+    // Inline replay of the identical schedule on an identically prepared
     // store: wear leveling must plan the same migrations at the same epoch
     // boundaries and leave every chip bit-identical.
     FLASHDB_ASSIGN_OR_RETURN(harness::Rig ref, warm_rig());
     workload::RunStats ref_stats;
-    FLASHDB_RETURN_IF_ERROR(ref.driver()->RunBatched(
-        ref.driver()->MakeSchedule(env.measure_ops), batch_size, &ref_stats));
+    FLASHDB_RETURN_IF_ERROR(
+        ref.driver()->Execute(ref.driver()->MakeSchedule(env.measure_ops),
+                              batch_size, 0, nullptr, &ref_stats));
     point.checked = true;
     point.deterministic =
         run.clocks() == ref.clocks() &&

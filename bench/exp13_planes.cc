@@ -17,10 +17,10 @@
 //     perf gate requires >= 2.0 on the 4-plane rows);
 //   * stall/op   -- virtual time ops spent queued behind same-plane work
 //     while another plane was idle (plane model's residual serialization);
-//   * wall_ms    -- host wall-clock of a threaded RunPipelined execution of
-//     the same schedule (depth --depth windows in flight per shard);
+//   * wall_ms    -- host wall-clock of a threaded Execute of the same
+//     schedule (depth --depth windows in flight per shard);
 //   * determinism -- per-chip virtual clocks of the threaded run must match
-//     the sequential RunBatched replay bit-for-bit (ok/FAIL; --check=0
+//     the inline Execute bit-for-bit (ok/FAIL; --check=0
 //     skips the threaded replay and reports "-").
 //
 // Expected shape: vt_speedup grows with the plane count and saturates
@@ -59,10 +59,10 @@ struct PlanePoint {
   bool checked = false;
 };
 
-/// Measures one geometry x method cell: a sequential RunBatched execution
-/// for the deterministic virtual-time metrics, plus (with `check`) a
-/// threaded RunPipelined execution of the identical schedule whose per-chip
-/// clocks must replay the sequential ones bit-for-bit.
+/// Measures one geometry x method cell: an inline Execute for the
+/// deterministic virtual-time metrics, plus (with `check`) a threaded
+/// Execute of the identical schedule whose per-chip clocks must replay the
+/// inline ones bit-for-bit.
 Result<PlanePoint> RunPoint(harness::ExperimentEnv env,
                             const methods::MethodSpec& spec,
                             const GeometryPoint& geom, uint32_t num_shards,
@@ -77,8 +77,9 @@ Result<PlanePoint> RunPoint(harness::ExperimentEnv env,
                            harness::Rig::Sharded(env, spec, num_shards));
   FLASHDB_RETURN_IF_ERROR(run.LoadAndWarm(params));
   workload::RunStats stats;
-  FLASHDB_RETURN_IF_ERROR(run.driver()->RunBatched(
-      run.driver()->MakeSchedule(env.measure_ops), batch_size, &stats));
+  FLASHDB_RETURN_IF_ERROR(
+      run.driver()->Execute(run.driver()->MakeSchedule(env.measure_ops),
+                            batch_size, 0, nullptr, &stats));
   const double ops = static_cast<double>(env.measure_ops);
   point.vt_us_per_op = static_cast<double>(stats.elapsed_vt_us) / ops;
   point.vt_kops_per_sec =
@@ -96,7 +97,7 @@ Result<PlanePoint> RunPoint(harness::ExperimentEnv env,
     ftl::ShardExecutor executor(num_shards, queue_capacity);
     workload::RunStats rep_stats;
     const auto t0 = std::chrono::steady_clock::now();
-    FLASHDB_RETURN_IF_ERROR(rep.driver()->RunPipelined(
+    FLASHDB_RETURN_IF_ERROR(rep.driver()->Execute(
         schedule, batch_size, depth, &executor, &rep_stats));
     const auto t1 = std::chrono::steady_clock::now();
     point.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();

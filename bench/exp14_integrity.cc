@@ -16,8 +16,8 @@
 //     requires 0 on every scrub=on row);
 //   * scrub us/op -- virtual time of scrub relocations, per operation;
 //   * reloc       -- pages relocated by the scrubber (0 with scrub=off);
-//   * determinism -- per-chip virtual clocks of a threaded RunPipelined
-//     replay must match the sequential RunBatched run bit-for-bit: the error
+//   * determinism -- per-chip virtual clocks of a threaded Execute replay
+//     must match the inline Execute bit-for-bit: the error
 //     model and the scrubber are pure functions of per-shard state, so
 //     execution mode must not change a single retry decision (--check=0
 //     skips the replay and reports "-").
@@ -56,10 +56,10 @@ struct IntegrityPoint {
   bool checked = false;
 };
 
-/// Measures one (method, error-rate, scrub) cell: a sequential RunBatched
-/// execution for the deterministic metrics, plus (with `check`) a threaded
-/// RunPipelined execution of the identical schedule whose per-chip clocks
-/// must replay the sequential ones bit-for-bit.
+/// Measures one (method, error-rate, scrub) cell: an inline Execute for the
+/// deterministic metrics, plus (with `check`) a threaded Execute of the
+/// identical schedule whose per-chip clocks must replay the inline ones
+/// bit-for-bit.
 Result<IntegrityPoint> RunPoint(const harness::ExperimentEnv& env,
                                 const methods::MethodSpec& spec,
                                 flash::FaultInjector* injector, bool scrub,
@@ -90,8 +90,9 @@ Result<IntegrityPoint> RunPoint(const harness::ExperimentEnv& env,
   IntegrityPoint point;
   FLASHDB_ASSIGN_OR_RETURN(harness::Rig run, warm_rig());
   workload::RunStats stats;
-  FLASHDB_RETURN_IF_ERROR(run.driver()->RunBatched(
-      run.driver()->MakeSchedule(env.measure_ops), batch_size, &stats));
+  FLASHDB_RETURN_IF_ERROR(
+      run.driver()->Execute(run.driver()->MakeSchedule(env.measure_ops),
+                            batch_size, 0, nullptr, &stats));
   const double ops = static_cast<double>(env.measure_ops);
   point.vt_us_per_op = static_cast<double>(stats.elapsed_vt_us) / ops;
   point.retry_us_per_op = stats.retry_us_per_op();
@@ -107,7 +108,7 @@ Result<IntegrityPoint> RunPoint(const harness::ExperimentEnv& env,
         rep.driver()->MakeSchedule(env.measure_ops);
     ftl::ShardExecutor executor(num_shards, queue_capacity);
     workload::RunStats rep_stats;
-    FLASHDB_RETURN_IF_ERROR(rep.driver()->RunPipelined(
+    FLASHDB_RETURN_IF_ERROR(rep.driver()->Execute(
         schedule, batch_size, depth, &executor, &rep_stats));
     point.checked = true;
     point.deterministic =

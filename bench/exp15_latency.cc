@@ -25,7 +25,8 @@
 //
 // Every row carries a determinism cross-check: an identically prepared rig
 // replays the same operations through a *different* run mode (sequential
-// rows via single-worker RunPipelined; pipelined rows via RunBatched) and
+// rows via a single-worker threaded Execute; pipelined rows via an inline
+// Execute) and
 // the whole latency histogram, the worst-op sample, and the per-chip
 // virtual clocks must match bit-for-bit. The perf gate requires `ok` in
 // every row and bands the p50/p99/p999 columns tightly against the
@@ -69,8 +70,6 @@ struct LatencyPoint {
   bool checked = false;
   /// Replay's deterministic event stream byte-identical to the primary's.
   bool trace_ok = true;
-  uint64_t trace_emitted = 0;
-  uint64_t trace_dropped = 0;
 };
 
 /// Runs one cell in its own mode, then (with `check`) replays the identical
@@ -83,7 +82,8 @@ Result<LatencyPoint> RunPoint(const harness::ExperimentEnv& env,
                               const Config& cfg, uint32_t batch_size,
                               size_t queue_capacity, uint64_t epoch_ops,
                               double hot_pct, uint32_t disturb_limit,
-                              double ber, bool check, uint64_t point_index) {
+                              double ber, bool check, uint64_t point_index,
+                              obs::MetricsRegistry* metrics) {
   const bool scrubbing = std::string(cfg.extra) == "scrub";
   const bool leveling = std::string(cfg.extra) == "wear";
   harness::ExperimentEnv rig_env = env;
@@ -158,15 +158,17 @@ Result<LatencyPoint> RunPoint(const harness::ExperimentEnv& env,
         cfg.shards, queue_capacity,
         cfg.pin ? RoundRobinWorkerCores(cfg.shards) : std::vector<int>{});
     const auto t0 = std::chrono::steady_clock::now();
-    FLASHDB_RETURN_IF_ERROR(run.driver()->RunPipelined(
+    FLASHDB_RETURN_IF_ERROR(run.driver()->Execute(
         schedule, batch, cfg.depth, &executor, &point.stats));
     point.wall_ms = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
   }
 
-  point.trace_emitted = recorder.total_emitted();
-  point.trace_dropped = recorder.total_dropped();
+  // The primary run's figures for the metrics object; trace.emitted counts
+  // the deterministic lanes only (credit waits report as trace.wall_*).
+  obs::ImportRunStats(metrics, "run", point.stats);
+  obs::ImportTraceStats(metrics, "trace", recorder);
   if (!env.trace_path.empty()) {
     FLASHDB_RETURN_IF_ERROR(recorder.WriteChromeTraceFile(
         harness::PointTracePath(env.trace_path, point_index)));
@@ -180,14 +182,14 @@ Result<LatencyPoint> RunPoint(const harness::ExperimentEnv& env,
     const workload::Schedule ref_schedule =
         ref.driver()->MakeSchedule(env.measure_ops);
     if (cfg.depth == 0) {
-      // Sequential rows replay through the single-worker pipelined mode --
+      // Sequential rows replay through a single-worker threaded Execute --
       // the cross-mode proof the flat path exists for.
       ftl::ShardExecutor executor(1, queue_capacity);
-      FLASHDB_RETURN_IF_ERROR(ref.driver()->RunPipelined(
-          ref_schedule, 1, 4, &executor, &ref_stats));
+      FLASHDB_RETURN_IF_ERROR(
+          ref.driver()->Execute(ref_schedule, 1, 4, &executor, &ref_stats));
     } else {
       FLASHDB_RETURN_IF_ERROR(
-          ref.driver()->RunBatched(ref_schedule, batch, &ref_stats));
+          ref.driver()->Execute(ref_schedule, batch, 0, nullptr, &ref_stats));
     }
     point.checked = true;
     point.deterministic = ref.clocks() == run.clocks() &&
@@ -258,7 +260,7 @@ int main(int argc, char** argv) {
     for (const Config& cfg : configs) {
       auto point = RunPoint(env, *spec, cfg, batch_size, queue_capacity,
                             epoch_ops, hot_pct, disturb_limit, ber, check,
-                            point_index);
+                            point_index, &metrics);
       if (!point.ok()) {
         std::cerr << name << " " << cfg.mode << " shards=" << cfg.shards
                   << " K=" << cfg.depth << " extra=" << cfg.extra << ": "
@@ -284,11 +286,6 @@ int main(int argc, char** argv) {
                   point->checked ? (point->trace_ok ? "ok" : "FAIL") : "-"});
       // One epoch per measured row: the registry's time series doubles as a
       // machine-readable form of the whole sweep.
-      obs::ImportRunStats(&metrics, "run", point->stats);
-      metrics.Set("trace.emitted", static_cast<double>(point->trace_emitted),
-                  obs::MetricsRegistry::Kind::kCounter);
-      metrics.Set("trace.dropped", static_cast<double>(point->trace_dropped),
-                  obs::MetricsRegistry::Kind::kCounter);
       metrics.SnapshotEpoch(point_index);
       ++point_index;
     }

@@ -60,8 +60,6 @@ struct OltpPoint {
   /// Replay's deterministic event stream byte-identical to the concurrent
   /// serve's (transaction spans, flash commands, buffer traffic).
   bool trace_ok = true;
-  uint64_t trace_emitted = 0;
-  uint64_t trace_dropped = 0;
 };
 
 struct Rig {
@@ -104,7 +102,8 @@ Result<OltpPoint> RunPoint(const methods::MethodSpec& spec,
                            const Cell& cell, uint64_t warmup_tx,
                            uint64_t measure_tx, bool check,
                            const std::string& trace_path,
-                           uint64_t point_index) {
+                           uint64_t point_index,
+                           obs::MetricsRegistry* metrics) {
   FLASHDB_ASSIGN_OR_RETURN(Rig rig, Prepare(spec, opts, cell.shards));
   ftl::ShardExecutor executor(cell.shards);
   FLASHDB_RETURN_IF_ERROR(rig.driver->Load(&executor));
@@ -129,8 +128,10 @@ Result<OltpPoint> RunPoint(const methods::MethodSpec& spec,
                     static_cast<double>(point.stats.elapsed_vt_us);
   }
 
-  point.trace_emitted = recorder.total_emitted();
-  point.trace_dropped = recorder.total_dropped();
+  // The serve's figures for the metrics object; trace.emitted counts the
+  // deterministic lanes only (credit waits report as trace.wall_*).
+  obs::ImportTpccStats(metrics, "tpcc", point.stats);
+  obs::ImportTraceStats(metrics, "trace", recorder);
   if (!trace_path.empty()) {
     FLASHDB_RETURN_IF_ERROR(recorder.WriteChromeTraceFile(
         harness::PointTracePath(trace_path, point_index)));
@@ -217,7 +218,7 @@ int main(int argc, char** argv) {
       workload::TpccDriverOptions cell_opts = opts;
       cell_opts.num_clients = cell.clients;
       auto point = RunPoint(*spec, cell_opts, cell, warmup_tx, measure_tx,
-                            check, trace_path, point_index);
+                            check, trace_path, point_index, &metrics);
       if (!point.ok()) {
         std::cerr << name << " clients=" << cell.clients
                   << " shards=" << cell.shards << ": "
@@ -228,11 +229,6 @@ int main(int argc, char** argv) {
         failures++;
       }
       // One registry epoch per measured cell (series across the sweep).
-      obs::ImportTpccStats(&metrics, "tpcc", point->stats);
-      metrics.Set("trace.emitted", static_cast<double>(point->trace_emitted),
-                  obs::MetricsRegistry::Kind::kCounter);
-      metrics.Set("trace.dropped", static_cast<double>(point->trace_dropped),
-                  obs::MetricsRegistry::Kind::kCounter);
       metrics.SnapshotEpoch(point_index);
       ++point_index;
       points.emplace_back(cell, std::move(*point));

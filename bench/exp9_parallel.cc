@@ -16,14 +16,14 @@
 //     over the same store.
 //   * p50/p99/p999    -- per-op virtual-time latency percentiles
 //     (deterministic; identical whether or not --pin is set).
-//   * determinism     -- the same schedule is replayed sequentially through
-//     RunBatched on an identically prepared store; per-chip virtual clocks
+//   * determinism     -- the same schedule is replayed inline (Execute with
+//     no executor) on an identically prepared store; per-chip virtual clocks
 //     must match the threaded run bit-for-bit (ok/FAIL). Disable the second
 //     run with --check=0.
 //
 // Expected shape: wall-clock speedup approaching min(S, cores), flat
 // per-shard virtual time, determinism always ok. Larger B amortizes
-// submission/future overhead and saves read-step work (window-local reads
+// submission/completion overhead and saves read-step work (window-local reads
 // are served from queued images). --pin=1 pins worker i to core i (mod
 // available cores); it can only move wall_ms, never the virtual columns.
 
@@ -79,14 +79,17 @@ Result<ParallelPoint> RunParallelPoint(const harness::ExperimentEnv& env,
   const uint64_t total0 = store->total_work_us();
 
   // Workers spawn outside the timed region; the measured span is pure
-  // submit/execute/join. Pinning is a wall-clock-only knob.
+  // submit/execute/drain. Pinning is a wall-clock-only knob. The credit
+  // depth is the ring capacity, so submission never waits for a credit at
+  // these sizes: every shard's windows are queued round-robin up front.
+  constexpr uint32_t kRing = 1024;
   ftl::ShardExecutor executor(
-      num_shards, /*queue_capacity=*/1024,
+      num_shards, kRing,
       pin ? RoundRobinWorkerCores(num_shards) : std::vector<int>{});
   workload::RunStats stats;
   const auto t0 = std::chrono::steady_clock::now();
-  FLASHDB_RETURN_IF_ERROR(
-      run.driver()->RunParallel(schedule, batch_size, &executor, &stats));
+  FLASHDB_RETURN_IF_ERROR(run.driver()->Execute(schedule, batch_size, kRing,
+                                                &executor, &stats));
   const auto t1 = std::chrono::steady_clock::now();
 
   ParallelPoint point;
@@ -112,8 +115,9 @@ Result<ParallelPoint> RunParallelPoint(const harness::ExperimentEnv& env,
   point.p999_us = stats.latency.p999();
 
   // The uniform per-bench metrics object: run stats plus the executor's
-  // per-worker submit/complete counters and the store's clock skew --
-  // report-time reads only, the caller snapshots one epoch per point.
+  // per-worker submit/complete counters (final: Execute drained the
+  // workers) and the store's clock skew -- report-time reads only, the
+  // caller snapshots one epoch per point.
   if (metrics != nullptr) {
     obs::ImportRunStats(metrics, "run", stats);
     obs::ImportExecutorStats(metrics, "executor", executor);
@@ -121,15 +125,16 @@ Result<ParallelPoint> RunParallelPoint(const harness::ExperimentEnv& env,
   }
 
   if (check) {
-    // Replay the identical schedule sequentially on an identically prepared
+    // Replay the identical schedule inline on an identically prepared
     // store; thread-confined execution must leave every chip's virtual clock
     // exactly where the threaded run left it.
     FLASHDB_ASSIGN_OR_RETURN(harness::Rig ref,
                              harness::Rig::Sharded(env, spec, num_shards));
     FLASHDB_RETURN_IF_ERROR(ref.LoadAndWarm(params));
     workload::RunStats ref_stats;
-    FLASHDB_RETURN_IF_ERROR(ref.driver()->RunBatched(
-        ref.driver()->MakeSchedule(env.measure_ops), batch_size, &ref_stats));
+    FLASHDB_RETURN_IF_ERROR(
+        ref.driver()->Execute(ref.driver()->MakeSchedule(env.measure_ops),
+                              batch_size, 0, nullptr, &ref_stats));
     point.checked = true;
     point.deterministic =
         run.clocks() == ref.clocks() && stats.latency == ref_stats.latency;

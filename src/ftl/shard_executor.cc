@@ -110,6 +110,21 @@ void ShardExecutor::RunTask(Worker* w, Task* task) {
     }
   }
   w->completed.fetch_add(1, std::memory_order_release);
+  // Wake a producer parked in WaitUntil; see the fence there.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (producer_waiting_.load(std::memory_order_relaxed)) {
+    std::lock_guard<std::mutex> lock(producer_mutex_);
+    producer_cv_.notify_one();
+  }
+}
+
+void ShardExecutor::Drain() {
+  WaitUntil([this] {
+    for (uint32_t i = 0; i < num_workers(); ++i) {
+      if (in_flight(i) != 0) return false;
+    }
+    return true;
+  });
 }
 
 void ShardExecutor::WorkerLoop(Worker* w, uint32_t index) {
@@ -130,7 +145,7 @@ void ShardExecutor::WorkerLoop(Worker* w, uint32_t index) {
     }
     // Ring empty: spin briefly (tasks arrive in bursts), then park.
     bool ran = false;
-    for (int spin = 0; spin < 64 && !ran; ++spin) {
+    for (int spin = 0; spin < kSpinYields && !ran; ++spin) {
       if (w->queue.TryPop(&task)) {
         RunTask(w, &task);
         ran = true;

@@ -17,23 +17,27 @@
 // concurrency assertion that catches violations of this contract.
 //
 // Completion is reported two ways:
-//   * Submit() returns a std::future<Status>; callers gather per-shard
-//     results after joining a batch of futures (windowed execution).
+//   * Submit() returns a std::future<Status>, for one-off tasks whose
+//     result the caller joins.
 //   * SubmitWithCallback() runs a completion callback on the worker thread
 //     right after the task, allocating no future -- the building block for
-//     continuous (pipelined) submission, where the producer keeps a bounded
-//     number of batches in flight per shard and backpressure is a credit
-//     counter instead of a global join.
+//     continuous submission, where the producer keeps a bounded number of
+//     tasks in flight per worker.
 //
-// Per-worker monotonic submitted/completed counters make queue depth and
-// cross-shard lag observable while a run is in progress (see
-// submitted_count / completed_count / in_flight).
+// Per-worker monotonic submitted/completed counters make queue depth
+// observable while a run is in progress (submitted_count / completed_count /
+// in_flight). They are also the producer's credits: `in_flight(i) < depth`
+// is exact on the submitting thread, and WaitUntil() blocks that thread
+// until a predicate over them holds -- spinning briefly, then parking on a
+// condition variable the workers signal after every completion. Drain()
+// waits for every submitted task to complete.
 
 #ifndef FLASHDB_FTL_SHARD_EXECUTOR_H_
 #define FLASHDB_FTL_SHARD_EXECUTOR_H_
 
 #include <atomic>
 #include <cassert>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -88,8 +92,9 @@ class SpscQueue {
 
 /// See file comment.
 ///
-/// Thread-safety: submission (Submit / SubmitWithCallback / Shutdown) is
-/// single-producer -- one thread at a time, never racing Shutdown().
+/// Thread-safety: submission (Submit / SubmitWithCallback / WaitUntil /
+/// Drain / Shutdown) is single-producer -- one thread at a time, never
+/// racing Shutdown().
 /// Completion counters are safe to read from any thread. Task bodies run
 /// thread-confined on their worker: a task submitted to worker `i` may
 /// freely touch shard `i`'s store and device, nothing else's.
@@ -101,6 +106,10 @@ class SpscQueue {
 /// interleaving is free (see docs/ARCHITECTURE.md).
 class ShardExecutor {
  public:
+  /// Yields an idle thread spins through before it parks: the workers'
+  /// empty-ring spin and the producer's WaitUntil share it.
+  static constexpr int kSpinYields = 64;
+
   /// Spawns `num_workers` threads, each with a task ring of
   /// `queue_capacity` entries. Submission to a full ring blocks (yield-spin):
   /// the queue depth is backpressure, not a correctness limit.
@@ -167,6 +176,43 @@ class ShardExecutor {
     return submitted_count(worker) - done;
   }
 
+  /// Blocks the producer until `ready()` holds and returns the wall-clock
+  /// nanoseconds it waited (0 when `ready()` already held, without reading
+  /// the clock). `ready` may only depend on state that workers change
+  /// before their `completed` increment -- the counters themselves, or
+  /// whatever a completion callback writes -- because that increment is
+  /// what wakes a parked producer. Spins kSpinYields yields first (a credit
+  /// usually comes back within a few), then parks.
+  template <typename Ready>
+  uint64_t WaitUntil(Ready&& ready) {
+    if (ready()) return 0;
+    const auto start = std::chrono::steady_clock::now();
+    bool done = false;
+    for (int spin = 0; spin < kSpinYields && !done; ++spin) {
+      std::this_thread::yield();
+      done = ready();
+    }
+    if (!done) {
+      std::unique_lock<std::mutex> lock(producer_mutex_);
+      producer_waiting_.store(true, std::memory_order_relaxed);
+      // Pairs with the fence in RunTask (same Dekker handshake as
+      // WakeIfSleeping): either this predicate check sees the worker's
+      // completion or the worker sees producer_waiting_ and notifies.
+      std::atomic_thread_fence(std::memory_order_seq_cst);
+      producer_cv_.wait(lock, ready);
+      producer_waiting_.store(false, std::memory_order_relaxed);
+    }
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+  }
+
+  /// WaitUntil every worker has completed everything submitted to it. On
+  /// return no worker touches a task's state again, and the acquire loads
+  /// of `completed` publish the tasks' writes to the calling thread.
+  void Drain();
+
   /// Workers whose affinity pin succeeded. 0 unless pin_cores was passed
   /// (and the platform supports pinning). Settles once every worker has
   /// started; benches read it after construction to report pin=on/off
@@ -203,6 +249,11 @@ class ShardExecutor {
   void WakeIfSleeping(Worker* w);
 
   std::vector<std::unique_ptr<Worker>> workers_;
+  /// Producer park state for WaitUntil: set (under producer_mutex_) just
+  /// before the producer parks, so workers skip the lock+notify otherwise.
+  std::atomic<bool> producer_waiting_{false};
+  std::mutex producer_mutex_;
+  std::condition_variable producer_cv_;
   std::vector<int> pin_cores_;
   std::atomic<uint32_t> pinned_workers_{0};
   std::atomic<bool> stop_{false};

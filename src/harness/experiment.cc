@@ -145,9 +145,9 @@ Result<PointResult> RunWorkloadPoint(const ExperimentEnv& env,
     // is bit-identical to the Run() path above for the same flags.
     const workload::Schedule schedule = driver->MakeSchedule(env.measure_ops);
     ftl::ShardExecutor executor(1);
-    FLASHDB_RETURN_IF_ERROR(driver->RunPipelined(
-        schedule, /*batch_size=*/1, env.pipeline_depth, &executor,
-        &result.stats));
+    FLASHDB_RETURN_IF_ERROR(driver->Execute(schedule, /*batch=*/1,
+                                            env.pipeline_depth, &executor,
+                                            &result.stats));
   }
   if (recorder != nullptr) {
     static uint64_t point_index = 0;

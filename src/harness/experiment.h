@@ -40,10 +40,11 @@ struct ExperimentEnv {
   uint64_t seed = 42;
   /// Measured-run execution mode (--pipeline=K). 0 runs the plain
   /// sequential Run() loop. K > 0 pre-draws the schedule and streams it
-  /// depth-K to a one-worker ShardExecutor via RunPipelined with window
-  /// size 1 -- the single-chip threaded mode, bit-identical to sequential
-  /// (single-op windows read every page from flash and flush immediately,
-  /// so scheduled execution degenerates to exactly the Run() sequence).
+  /// depth-K to a one-worker ShardExecutor via UpdateDriver::Execute with
+  /// window size 1 -- the single-chip threaded mode, bit-identical to
+  /// sequential (single-op windows read every page from flash and flush
+  /// immediately, so scheduled execution degenerates to exactly the Run()
+  /// sequence).
   uint32_t pipeline_depth = 0;
   /// When non-empty (--trace=out.json), every measured point records a
   /// deterministic event timeline (flash command spans, GC/scrub/meta/

@@ -213,10 +213,18 @@ void ImportShardedStoreStats(MetricsRegistry* reg, const std::string& prefix,
 
 void ImportTraceStats(MetricsRegistry* reg, const std::string& prefix,
                       const TraceRecorder& rec) {
-  reg->Set(prefix + ".emitted", static_cast<double>(rec.total_emitted()),
-           Kind::kCounter);
-  reg->Set(prefix + ".dropped", static_cast<double>(rec.total_dropped()),
-           Kind::kCounter);
+  uint64_t emitted = 0;
+  uint64_t dropped = 0;
+  for (uint32_t i = 0; i < rec.num_shards(); ++i) {
+    emitted += rec.shard(i)->emitted();
+    dropped += rec.shard(i)->dropped();
+  }
+  reg->Set(prefix + ".emitted", static_cast<double>(emitted), Kind::kCounter);
+  reg->Set(prefix + ".dropped", static_cast<double>(dropped), Kind::kCounter);
+  reg->Set(prefix + ".wall_emitted",
+           static_cast<double>(rec.wall_lane()->emitted()), Kind::kCounter);
+  reg->Set(prefix + ".wall_dropped",
+           static_cast<double>(rec.wall_lane()->dropped()), Kind::kCounter);
   reg->Set(prefix + ".shards", static_cast<double>(rec.num_shards()));
 }
 

@@ -68,7 +68,10 @@ void ImportExecutorStats(MetricsRegistry* reg, const std::string& prefix,
 void ImportShardedStoreStats(MetricsRegistry* reg, const std::string& prefix,
                              const ftl::ShardedStore& store);
 
-/// Trace recorder health: events emitted/dropped (total and per lane).
+/// Trace recorder health: <prefix>.emitted/.dropped over the per-shard
+/// virtual-time lanes (deterministic for a fixed schedule), the wall lane's
+/// credit-wait events as <prefix>.wall_emitted/.wall_dropped (they move with
+/// host timing), and <prefix>.shards.
 void ImportTraceStats(MetricsRegistry* reg, const std::string& prefix,
                       const TraceRecorder& rec);
 

@@ -97,8 +97,10 @@ class TraceRecorder {
   uint32_t num_shards() const { return num_shards_; }
   /// Lane for shard `i`'s virtual-time events (device, FTL, driver spans).
   TraceShard* shard(uint32_t i) { return &lanes_[i]; }
+  const TraceShard* shard(uint32_t i) const { return &lanes_[i]; }
   /// Lane for producer-thread wall-clock events (credit waits).
   TraceShard* wall_lane() { return &lanes_[num_shards_]; }
+  const TraceShard* wall_lane() const { return &lanes_[num_shards_]; }
 
   uint64_t total_dropped() const;
   uint64_t total_emitted() const;

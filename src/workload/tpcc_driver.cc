@@ -2,10 +2,7 @@
 
 #include <atomic>
 #include <cassert>
-#include <chrono>
-#include <condition_variable>
 #include <mutex>
-#include <thread>
 
 #include "flash/flash_device.h"
 #include "obs/trace_recorder.h"
@@ -49,36 +46,6 @@ uint32_t TpccDriver::PagesPerShard(const TpccScale& scale, uint32_t page_size,
   const uint32_t fullest =
       (scale.warehouses + num_shards - 1) / num_shards;
   return TpccWorkload::RequiredPagesHosted(scale, page_size, fullest);
-}
-
-TpccDriver::CostSnap TpccDriver::SnapCost(flash::FlashDevice* dev) {
-  const flash::FlashStats& st = dev->stats();
-  CostSnap snap;
-  snap.clock_us = dev->clock().now_us();
-  snap.read_us =
-      st.by_category[static_cast<int>(flash::OpCategory::kReadStep)].total_us();
-  snap.write_us =
-      st.by_category[static_cast<int>(flash::OpCategory::kWriteStep)]
-          .total_us();
-  snap.gc_us =
-      st.by_category[static_cast<int>(flash::OpCategory::kGc)].total_us();
-  snap.meta_us =
-      st.by_category[static_cast<int>(flash::OpCategory::kMeta)].total_us();
-  return snap;
-}
-
-WorstOpSample TpccDriver::CostSince(const CostSnap& before,
-                                    flash::FlashDevice* dev, PageId pid) {
-  const CostSnap after = SnapCost(dev);
-  WorstOpSample s;
-  s.total_us = after.clock_us - before.clock_us;
-  s.read_us = after.read_us - before.read_us;
-  s.write_us = after.write_us - before.write_us;
-  s.gc_us = after.gc_us - before.gc_us;
-  s.meta_us = after.meta_us - before.meta_us;
-  s.pid = pid;
-  s.valid = true;
-  return s;
 }
 
 Status TpccDriver::Load(ftl::ShardExecutor* executor) {
@@ -220,105 +187,59 @@ Status TpccDriver::ServeInline(uint64_t num_txns) {
 
 Status TpccDriver::ServeConcurrent(uint64_t num_txns,
                                    ftl::ShardExecutor* executor) {
-  const uint32_t n = store_->num_shards();
   const uint32_t max_inflight = std::max(1u, opts_.max_inflight_per_shard);
-
-  // Credit accounting shared between this thread and the workers'
-  // completion callbacks -- the same Dekker-style park/wake handshake as
-  // UpdateDriver::RunPipelinedChunk, with the commit-log append folded into
-  // the completion under the mutex (the log *is* the commit order).
-  struct Control {
-    std::vector<std::atomic<uint32_t>> inflight;
-    std::atomic<bool> producer_waiting{false};
-    std::atomic<bool> has_error{false};
-    std::mutex mu;  // guards first_error + the commit log; wake-up serialize
-    std::condition_variable cv;
-    Status first_error;
-    TpccCommitLog* log = nullptr;
-
-    explicit Control(uint32_t shards) : inflight(shards) {}
-
-    void OnComplete(uint32_t shard, const TpccCommit& commit,
-                    const Status& st) {
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        if (st.ok()) {
-          log->push_back(commit);
-        } else {
-          if (first_error.ok()) first_error = st;
-          has_error.store(true, std::memory_order_release);
-        }
-      }
-      inflight[shard].fetch_sub(1, std::memory_order_release);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      if (producer_waiting.load(std::memory_order_relaxed)) {
-        std::lock_guard<std::mutex> lock(mu);
-        cv.notify_one();
-      }
+  // First-error capture and the commit-log append share one mutex: the
+  // completion callbacks run on the shard workers, and the log *is* the
+  // commit order.
+  std::mutex mu;
+  Status first_error;
+  std::atomic<bool> failed{false};
+  auto complete = [&](const TpccCommit& commit, const Status& st) {
+    std::lock_guard<std::mutex> lock(mu);
+    if (st.ok()) {
+      commit_log_.push_back(commit);
+    } else {
+      if (first_error.ok()) first_error = st;
+      failed.store(true, std::memory_order_release);
     }
-
-    void WaitFor(const std::function<bool()>& ready) {
-      std::unique_lock<std::mutex> lock(mu);
-      producer_waiting.store(true, std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      cv.wait(lock, ready);
-      producer_waiting.store(false, std::memory_order_relaxed);
-    }
-  } ctl(n);
-  ctl.log = &commit_log_;
+  };
 
   for (uint64_t i = 0; i < num_txns; ++i) {
-    if (ctl.has_error.load(std::memory_order_acquire)) break;
+    if (failed.load(std::memory_order_acquire)) break;
     // Transactions must submit in global draw order -- per-shard submission
     // order is what the determinism contract pins down -- so when the
-    // target shard is out of credits the producer parks rather than
+    // target shard is out of credits the producer waits rather than
     // reordering around it.
     const Draw d = DrawNext(i);
     const uint32_t s = shard_of_warehouse(d.warehouse);
-    if (ctl.inflight[s].load(std::memory_order_acquire) >= max_inflight) {
-      const auto park_start = std::chrono::steady_clock::now();
-      ctl.WaitFor([&] {
-        return ctl.has_error.load(std::memory_order_acquire) ||
-               ctl.inflight[s].load(std::memory_order_acquire) < max_inflight;
-      });
-      const uint64_t waited_ns = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - park_start)
-              .count());
+    const uint64_t waited_ns = executor->WaitUntil([&] {
+      return failed.load(std::memory_order_acquire) ||
+             executor->in_flight(s) < max_inflight;
+    });
+    if (waited_ns != 0) {
       credit_wait_ns_ += waited_ns;
       if (wall_trace_ != nullptr) {
         wall_trace_->Emit(obs::TraceCat::kCreditWait,
                           (credit_wait_ns_ - waited_ns) / 1000,
                           waited_ns / 1000, s, waited_ns);
       }
-      if (ctl.has_error.load(std::memory_order_acquire)) break;
     }
-    ctl.inflight[s].fetch_add(1, std::memory_order_relaxed);
+    if (failed.load(std::memory_order_acquire)) break;
     const TpccCommit commit{d.client, d.warehouse, d.type};
     const Status submitted = executor->SubmitWithCallback(
         s, [this, s, d] { return ExecuteTxn(s, d.type, d.warehouse, d.client); },
-        [&ctl, s, commit](const Status& st) { ctl.OnComplete(s, commit, st); });
+        [&complete, commit](const Status& st) { complete(commit, st); });
     if (!submitted.ok()) {
-      // Nothing enqueued, the callback never runs: hand the credit back.
-      ctl.inflight[s].fetch_sub(1, std::memory_order_relaxed);
-      std::lock_guard<std::mutex> lock(ctl.mu);
-      if (ctl.first_error.ok()) ctl.first_error = submitted;
-      ctl.has_error.store(true, std::memory_order_release);
+      // Nothing enqueued, the callback never runs.
+      complete(commit, submitted);
       break;
     }
   }
-
-  // Drain on the *executor's* counters, not the credits: `completed` only
-  // increments after a completion callback has fully returned, so equality
-  // proves no worker can touch ctl (or a shard's pool) again. The acquire
-  // loads also publish the workers' device mutations to this thread before
-  // FoldStats snapshots the clocks.
-  for (uint32_t i = 0; i < n; ++i) {
-    while (executor->completed_count(i) != executor->submitted_count(i)) {
-      std::this_thread::yield();
-    }
-  }
-  return ctl.first_error;
+  // The callbacks reference this frame's state, so every one must finish
+  // before we return; Drain() also publishes the workers' device mutations
+  // to this thread before FoldStats snapshots the clocks.
+  executor->Drain();
+  return first_error;
 }
 
 Status TpccDriver::Serve(uint64_t num_txns, ftl::ShardExecutor* executor,

@@ -8,8 +8,8 @@
 // read-only). A transaction therefore touches exactly one shard, and the
 // driver streams *whole transactions* to the owning shard's ShardExecutor
 // worker with bounded per-shard credits -- the same continuous-submission
-// pattern UpdateDriver::RunPipelined uses one layer down, lifted from
-// page-op windows to transactions.
+// pattern UpdateDriver::Execute uses one layer down, lifted from page-op
+// windows to transactions.
 //
 // Traffic model. N logical clients issue transactions round-robin (txn i
 // belongs to client i % N). Each client has a home warehouse
@@ -180,19 +180,6 @@ class TpccDriver {
     std::unique_ptr<TpccWorkload> workload;
     std::array<TpccTypeStats, kNumTpccTxnTypes> acc;
   };
-
-  /// Point-in-time read of one chip's clock + by-category time totals (the
-  /// same bracketing UpdateDriver uses per page op, here per transaction).
-  struct CostSnap {
-    uint64_t clock_us = 0;
-    uint64_t read_us = 0;
-    uint64_t write_us = 0;
-    uint64_t gc_us = 0;
-    uint64_t meta_us = 0;
-  };
-  static CostSnap SnapCost(flash::FlashDevice* dev);
-  static WorstOpSample CostSince(const CostSnap& before,
-                                 flash::FlashDevice* dev, PageId pid);
 
   /// One client draw: routing + type, from the client's RNG stream.
   struct Draw {

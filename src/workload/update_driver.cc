@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
-#include <condition_variable>
-#include <future>
 #include <mutex>
 #include <string>
-#include <thread>
 
 #include "flash/flash_device.h"
 #include "ftl/shard_executor.h"
@@ -335,7 +331,7 @@ Status UpdateDriver::RunShardWindow(ShardStream* s, size_t begin, size_t end) {
   return FlushShardWindow(s);
 }
 
-UpdateDriver::CostSnap UpdateDriver::SnapCost(flash::FlashDevice* dev) {
+CostSnap SnapCost(flash::FlashDevice* dev) {
   // stats() returns a reference, so this is five counter loads -- cheap
   // enough to bracket every operation when recording is on.
   const flash::FlashStats& st = dev->stats();
@@ -353,8 +349,8 @@ UpdateDriver::CostSnap UpdateDriver::SnapCost(flash::FlashDevice* dev) {
   return snap;
 }
 
-WorstOpSample UpdateDriver::CostSince(const CostSnap& before,
-                                      flash::FlashDevice* dev, PageId pid) {
+WorstOpSample CostSince(const CostSnap& before, flash::FlashDevice* dev,
+                        PageId pid) {
   const CostSnap after = SnapCost(dev);
   WorstOpSample s;
   s.total_us = after.clock_us - before.clock_us;
@@ -418,9 +414,9 @@ void UpdateDriver::AccumulateRunStats(const flash::FlashStats& before,
   out->worst_op.Offer(pending_worst_);
 }
 
-Status UpdateDriver::RunEpochs(
-    const Schedule& schedule, ftl::ShardExecutor* executor, RunStats* out,
-    const std::function<Status(ChunkSpan)>& run_chunk) {
+Status UpdateDriver::RunEpochs(const Schedule& schedule, uint32_t batch,
+                               uint32_t depth, ftl::ShardExecutor* executor,
+                               RunStats* out) {
   pending_latency_.Reset();
   pending_worst_ = WorstOpSample{};
   const flash::FlashStats stats0 = store_->stats();
@@ -432,7 +428,7 @@ Status UpdateDriver::RunEpochs(
   const bool scrubbing = params_.scrub && sharded != nullptr;
   const ChunkSpan all(schedule);
   if (epoch == 0) {
-    FLASHDB_RETURN_IF_ERROR(run_chunk(all));
+    FLASHDB_RETURN_IF_ERROR(ExecuteChunk(all, batch, depth, executor));
   } else {
     // Epoch splitting applies whenever it is configured -- even with the
     // router disabled -- so a leveling-off reference run sees the exact same
@@ -442,7 +438,7 @@ Status UpdateDriver::RunEpochs(
     for (size_t begin = 0; begin < all.size(); begin += epoch) {
       const ChunkSpan chunk =
           all.subspan(begin, std::min<size_t>(epoch, all.size() - begin));
-      FLASHDB_RETURN_IF_ERROR(run_chunk(chunk));
+      FLASHDB_RETURN_IF_ERROR(ExecuteChunk(chunk, batch, depth, executor));
       // Rebalance / scrub between epochs only: a trailing migration or
       // relocation could not benefit any operation of this run.
       if (leveling && begin + epoch < all.size()) {
@@ -506,252 +502,111 @@ Status UpdateDriver::ScrubEpoch(RunStats* out) {
   return Status::OK();
 }
 
-Status UpdateDriver::RunBatched(const Schedule& schedule, uint32_t batch_size,
-                                RunStats* out) {
-  if (batch_size == 0) {
-    return Status::InvalidArgument("batch_size must be > 0");
-  }
-  return RunEpochs(schedule, nullptr, out, [this, batch_size](ChunkSpan c) {
-    return RunBatchedChunk(c, batch_size);
-  });
-}
-
-Status UpdateDriver::RunBatchedChunk(ChunkSpan chunk, uint32_t batch_size) {
-  std::vector<ShardStream> streams = PartitionSchedule(chunk);
-  // Shards are independent chips, so running them one after another produces
-  // the same per-shard device state (and virtual clocks) as any interleaving
-  // -- including RunParallel's.
-  for (ShardStream& s : streams) {
-    for (size_t begin = 0; begin < s.ops.size(); begin += batch_size) {
-      const size_t end = std::min(s.ops.size(), begin + batch_size);
-      FLASHDB_RETURN_IF_ERROR(RunShardWindow(&s, begin, end));
+Status UpdateDriver::Execute(const Schedule& schedule, uint32_t batch,
+                             uint32_t depth, ftl::ShardExecutor* executor,
+                             RunStats* out) {
+  if (batch == 0) return Status::InvalidArgument("batch must be > 0");
+  if (executor != nullptr) {
+    if (depth == 0) return Status::InvalidArgument("depth must be > 0");
+    // A flat store is one stream on worker 0: the threaded run mode of the
+    // single-chip experiments.
+    auto* sharded = dynamic_cast<ftl::ShardedStore*>(store_);
+    const uint32_t workers_needed =
+        sharded != nullptr ? sharded->num_shards() : 1;
+    if (executor->num_workers() < workers_needed) {
+      return Status::InvalidArgument("executor must have one worker per shard");
     }
-  }
-  FoldStreamLatency(&streams);
-  return Status::OK();
-}
-
-Status UpdateDriver::RunParallel(const Schedule& schedule, uint32_t batch_size,
-                                 ftl::ShardExecutor* executor, RunStats* out) {
-  if (batch_size == 0) {
-    return Status::InvalidArgument("batch_size must be > 0");
-  }
-  auto* sharded = dynamic_cast<ftl::ShardedStore*>(store_);
-  if (sharded == nullptr) {
-    return Status::InvalidArgument("RunParallel needs a ShardedStore");
-  }
-  if (executor == nullptr ||
-      executor->num_workers() < sharded->num_shards()) {
-    return Status::InvalidArgument("executor must have one worker per shard");
-  }
-  return RunEpochs(schedule, executor, out,
-                   [this, batch_size, executor](ChunkSpan c) {
-                     return RunParallelChunk(c, batch_size, executor);
-                   });
-}
-
-Status UpdateDriver::RunParallelChunk(ChunkSpan chunk, uint32_t batch_size,
-                                      ftl::ShardExecutor* executor) {
-  std::vector<ShardStream> streams = PartitionSchedule(chunk);
-  // One task per window, all windows of shard i on worker i: each chip's
-  // pipeline is thread-confined to its worker and windows run in schedule
-  // order, so per-shard execution is bit-identical to RunBatched.
-  std::vector<std::future<Status>> futures;
-  for (uint32_t i = 0; i < static_cast<uint32_t>(streams.size()); ++i) {
-    ShardStream* s = &streams[i];
-    for (size_t begin = 0; begin < s->ops.size(); begin += batch_size) {
-      const size_t end = std::min(s->ops.size(), begin + batch_size);
-      futures.push_back(executor->Submit(
-          i, [this, s, begin, end] { return RunShardWindow(s, begin, end); }));
-    }
-  }
-  // Gather every window's Status; the future joins also publish the workers'
-  // device mutations to this thread before the caller's stats snapshot.
-  Status first_error = Status::OK();
-  for (auto& f : futures) {
-    const Status st = f.get();
-    if (!st.ok() && first_error.ok()) first_error = st;
-  }
-  // The joins above quiesced every worker, so the streams' histograms are
-  // safe to fold here (shard order, same as the other modes).
-  FoldStreamLatency(&streams);
-  return first_error;
-}
-
-Status UpdateDriver::RunPipelined(const Schedule& schedule,
-                                  uint32_t batch_size, uint32_t max_inflight,
-                                  ftl::ShardExecutor* executor,
-                                  RunStats* out) {
-  if (batch_size == 0) {
-    return Status::InvalidArgument("batch_size must be > 0");
-  }
-  if (max_inflight == 0) {
-    return Status::InvalidArgument("max_inflight must be > 0");
-  }
-  // A flat store pipelines too: the whole schedule is one stream streamed
-  // depth-max_inflight to worker 0 (see the header comment) -- that is the
-  // threaded run mode of the single-chip experiments.
-  auto* sharded = dynamic_cast<ftl::ShardedStore*>(store_);
-  const uint32_t workers_needed =
-      sharded != nullptr ? sharded->num_shards() : 1;
-  if (executor == nullptr || executor->num_workers() < workers_needed) {
-    return Status::InvalidArgument("executor must have one worker per shard");
   }
   const uint64_t wait0 = credit_wait_ns_;
-  const Status st =
-      RunEpochs(schedule, executor, out,
-                [this, batch_size, max_inflight, executor](ChunkSpan c) {
-                  return RunPipelinedChunk(c, batch_size, max_inflight,
-                                           executor);
-                });
+  const Status st = RunEpochs(schedule, batch, depth, executor, out);
   out->credit_wait_ns += credit_wait_ns_ - wait0;
   return st;
 }
 
-Status UpdateDriver::RunPipelinedChunk(ChunkSpan chunk, uint32_t batch_size,
-                                       uint32_t max_inflight,
-                                       ftl::ShardExecutor* executor) {
+Status UpdateDriver::ExecuteChunk(ChunkSpan chunk, uint32_t batch,
+                                  uint32_t depth,
+                                  ftl::ShardExecutor* executor) {
   std::vector<ShardStream> streams = PartitionSchedule(chunk);
   const uint32_t n = static_cast<uint32_t>(streams.size());
-
-  // Credit accounting shared between the submitting thread and the workers'
-  // completion callbacks. The hot path is lock-free: callbacks return
-  // credits with atomic decrements and only take the mutex to wake a parked
-  // producer (same Dekker-style handshake as the executor's own park/wake)
-  // or to record the first error. The release-decrements of
-  // `inflight_total` paired with this thread's acquire-load of 0 also
-  // publish the workers' device mutations before the stats snapshot below.
-  struct Control {
-    std::vector<std::atomic<uint32_t>> inflight;
-    std::atomic<bool> producer_waiting{false};
-    std::atomic<bool> has_error{false};
-    std::mutex mu;  // guards first_error; wake-up serialization
-    std::condition_variable cv;
-    Status first_error;
-
-    explicit Control(uint32_t n) : inflight(n) {}
-
-    void OnComplete(uint32_t shard, const Status& st) {
-      if (!st.ok()) {
-        std::lock_guard<std::mutex> lock(mu);
-        if (first_error.ok()) first_error = st;
-        has_error.store(true, std::memory_order_release);
-      }
-      inflight[shard].fetch_sub(1, std::memory_order_release);
-      // Producer-side pairing: it sets producer_waiting, fences, then
-      // re-checks credits before parking; the fence here makes it
-      // impossible for both sides to read stale values (lost wakeup).
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      if (producer_waiting.load(std::memory_order_relaxed)) {
-        std::lock_guard<std::mutex> lock(mu);
-        cv.notify_one();
-      }
-    }
-
-    /// Parks the producer until `ready` (a credit/progress predicate over
-    /// the atomics) holds. Cold path only, so the std::function indirection
-    /// does not matter.
-    void WaitFor(const std::function<bool()>& ready) {
-      std::unique_lock<std::mutex> lock(mu);
-      producer_waiting.store(true, std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      cv.wait(lock, ready);
-      producer_waiting.store(false, std::memory_order_relaxed);
-    }
-  } ctl(n);
+  // First-error capture. Inline, only this thread writes it; threaded, the
+  // workers' completion callbacks do, and `failed` lets the submission loop
+  // and its credit wait see an error without taking the mutex.
+  std::mutex error_mu;
+  Status first_error;
+  std::atomic<bool> failed{false};
+  auto record_error = [&](const Status& st) {
+    std::lock_guard<std::mutex> lock(error_mu);
+    if (first_error.ok()) first_error = st;
+    failed.store(true, std::memory_order_release);
+  };
+  auto has_credit = [&](uint32_t i) {
+    return executor == nullptr || executor->in_flight(i) < depth;
+  };
 
   std::vector<size_t> next_begin(n, 0);  // submission cursor per shard
-  bool stop_submitting = false;
-  while (!stop_submitting) {
-    // Round-robin pass: give every shard with spare credit its next window.
-    // Interleaving submission across shards (instead of finishing one shard
-    // first) is what keeps every chip fed when one of them is hot.
-    bool submitted_any = false;
+  while (!failed.load(std::memory_order_acquire)) {
+    // Round-robin pass: give every shard with a credit its next window.
+    // Interleaving across shards (instead of finishing one shard first) is
+    // what keeps every chip fed when one of them is hot. Shards are
+    // independent chips, so inline the order changes no device state.
     bool work_left = false;
-    for (uint32_t i = 0; i < n && !stop_submitting; ++i) {
+    bool submitted_any = false;
+    for (uint32_t i = 0; i < n && !failed.load(std::memory_order_acquire);
+         ++i) {
       ShardStream* s = &streams[i];
       if (next_begin[i] >= s->ops.size()) continue;
-      if (ctl.has_error.load(std::memory_order_acquire)) {
-        stop_submitting = true;
-        break;
-      }
       work_left = true;
-      // Only this thread increments, so load-then-add cannot overshoot.
-      if (ctl.inflight[i].load(std::memory_order_acquire) >= max_inflight) {
-        continue;  // no credit
-      }
-      ctl.inflight[i].fetch_add(1, std::memory_order_relaxed);
+      if (!has_credit(i)) continue;
       const size_t begin = next_begin[i];
-      const size_t end = std::min(s->ops.size(), begin + batch_size);
+      const size_t end = std::min(s->ops.size(), begin + batch);
       next_begin[i] = end;
+      submitted_any = true;
+      if (executor == nullptr) {
+        const Status st = RunShardWindow(s, begin, end);
+        if (!st.ok()) record_error(st);
+        continue;
+      }
       const Status submitted = executor->SubmitWithCallback(
           i, [this, s, begin, end] { return RunShardWindow(s, begin, end); },
-          [&ctl, i](const Status& st) { ctl.OnComplete(i, st); });
-      if (!submitted.ok()) {
-        // Nothing was enqueued and the callback will never run: hand the
-        // credit back and stop streaming.
-        ctl.inflight[i].fetch_sub(1, std::memory_order_relaxed);
-        {
-          std::lock_guard<std::mutex> lock(ctl.mu);
-          if (ctl.first_error.ok()) ctl.first_error = submitted;
-          ctl.has_error.store(true, std::memory_order_release);
-        }
-        stop_submitting = true;
-        break;
-      }
-      submitted_any = true;
+          [&record_error](const Status& st) {
+            if (!st.ok()) record_error(st);
+          });
+      // Rejected: nothing was enqueued and the callback never runs.
+      if (!submitted.ok()) record_error(submitted);
     }
     if (!work_left) break;
-    if (!submitted_any && !stop_submitting) {
-      // Every remaining shard is at its credit limit: park until a
-      // completion returns a credit somewhere. This is the per-shard
-      // backpressure point -- no barrier, just "some credit came back".
-      // The parked wall time is the run's credit-wait attribution.
-      const auto park_start = std::chrono::steady_clock::now();
-      ctl.WaitFor([&] {
-        if (ctl.has_error.load(std::memory_order_acquire)) return true;
-        for (uint32_t i = 0; i < n; ++i) {
-          if (next_begin[i] < streams[i].ops.size() &&
-              ctl.inflight[i].load(std::memory_order_acquire) <
-                  max_inflight) {
-            return true;
-          }
+    if (submitted_any) continue;
+    // Every shard with work left is at its credit limit: wait until a
+    // completion returns a credit somewhere (or a window fails). This is the
+    // per-shard backpressure point -- no barrier, just "some credit came
+    // back". The waited wall time is the run's credit-wait attribution.
+    const uint64_t waited_ns = executor->WaitUntil([&] {
+      if (failed.load(std::memory_order_acquire)) return true;
+      for (uint32_t i = 0; i < n; ++i) {
+        if (next_begin[i] < streams[i].ops.size() && has_credit(i)) {
+          return true;
         }
-        return false;
-      });
-      const uint64_t waited_ns = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - park_start)
-              .count());
-      credit_wait_ns_ += waited_ns;
-      if (wall_trace_ != nullptr) {
-        // Wall-clock domain: stamped with the producer's cumulative parked
-        // time, excluded from the canonical (deterministic) stream.
-        wall_trace_->Emit(obs::TraceCat::kCreditWait,
-                          (credit_wait_ns_ - waited_ns) / 1000,
-                          waited_ns / 1000, ~0ull, waited_ns);
       }
+      return false;
+    });
+    if (waited_ns == 0) continue;  // a credit was back before waiting
+    credit_wait_ns_ += waited_ns;
+    if (wall_trace_ != nullptr) {
+      // Wall-clock domain: stamped with the producer's cumulative waited
+      // time, excluded from the canonical (deterministic) stream.
+      wall_trace_->Emit(obs::TraceCat::kCreditWait,
+                        (credit_wait_ns_ - waited_ns) / 1000,
+                        waited_ns / 1000, ~0ull, waited_ns);
     }
   }
-
-  // Drain: the in-flight windows reference `streams` (and their callbacks
-  // reference `ctl`) on this stack frame, so everything must finish before
-  // we return -- error or not. Quiescence comes from the *executor's*
-  // counters, not from ctl's credits: `completed` only increments after a
-  // task's completion callback has fully returned, so equality here proves
-  // no worker can touch ctl (or a stream) again. A credit-based drain would
-  // race -- a callback may still be inside ctl's mutex right after handing
-  // back the credit that makes the count hit zero. The acquire loads pair
-  // with the workers' release increments and also publish their device
-  // mutations to this thread before the caller's stats snapshot (and before
-  // any epoch-boundary rebalancing touches the chips).
-  for (uint32_t i = 0; i < n; ++i) {
-    while (executor->completed_count(i) != executor->submitted_count(i)) {
-      std::this_thread::yield();  // tail is at most max_inflight windows
-    }
-  }
+  // The in-flight windows reference `streams` and the error state on this
+  // stack frame, so everything finishes before we return -- error or not.
+  // Drain() also publishes the workers' device mutations to this thread
+  // before the caller's stats snapshot (and before any epoch-boundary
+  // rebalancing touches the chips).
+  if (executor != nullptr) executor->Drain();
   FoldStreamLatency(&streams);
-  return ctl.first_error;
+  return first_error;
 }
 
 }  // namespace flashdb::workload

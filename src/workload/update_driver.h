@@ -19,7 +19,6 @@
 #define FLASHDB_WORKLOAD_UPDATE_DRIVER_H_
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -50,12 +49,12 @@ struct WorkloadParams {
   /// Shard-targeted skew (beyond the paper): this percentage of operations
   /// draws its pid from shard 0's residue class (pid % num_shards == 0)
   /// instead of uniformly, turning shard 0 into a deliberate hotspot --
-  /// exactly the one-slow-chip scenario pipelined execution is built to
+  /// exactly the one-slow-chip scenario credit-gated execution is built to
   /// absorb. 0 (the default) keeps the uniform draw and consumes the RNG
   /// identically to older versions; ignored on a non-sharded store.
   double hot_shard_pct = 0.0;
-  /// Wear-leveling epoch length for the scheduled modes (RunBatched /
-  /// RunParallel / RunPipelined): every this-many operations the driver
+  /// Wear-leveling epoch length for scheduled execution (Execute): every
+  /// this-many operations the driver
   /// quiesces the shards at a window boundary, feeds the epoch's per-bucket
   /// write counts to the store's ShardRouter, and executes any bucket
   /// migrations the router plans -- then re-partitions the rest of the
@@ -64,29 +63,29 @@ struct WorkloadParams {
   /// with the router disabled, so leveling-off reference runs share the
   /// leveling-on runs' window boundaries -- but migrations only happen on a
   /// ShardedStore whose router has rebalancing enabled, at identical
-  /// virtual-time points in all three modes (determinism is preserved).
+  /// virtual-time points inline and threaded (determinism is preserved).
   uint64_t rebalance_epoch_ops = 0;
   /// Maintain an in-memory shadow database and verify every page read
   /// against it (tests; costs RAM proportional to the database).
   bool verify = false;
-  /// Background integrity scrub for the scheduled modes: at every epoch
+  /// Background integrity scrub for scheduled execution: at every epoch
   /// boundary (rebalance_epoch_ops windows -- scrub shares the rebalancer's
   /// quiescent boundaries and needs a non-zero epoch length) the driver
   /// drains the shards' scrub-candidate lists and relocates the flagged live
-  /// pages (ShardedStore::ScrubShards). Deterministic across run modes;
+  /// pages (ShardedStore::ScrubShards). Deterministic inline and threaded;
   /// ignored on a non-sharded store.
   bool scrub = false;
   /// Sample every operation's virtual latency into RunStats::latency (and
   /// track the worst op with its per-cause breakdown). An op's latency is
   /// the advance of its owning chip's virtual clock from the op's start to
   /// its write-back completion. To give each queued write-back its own
-  /// clock delta, the scheduled modes flush windows write-by-write
+  /// clock delta, scheduled execution flushes windows write-by-write
   /// (WriteBack) instead of as one WriteBatch -- on-flash state and virtual
   /// clocks are identical either way (the batched-write equivalence the
   /// tests pin down), so recording never changes any gated virtual-time
   /// column. Off by default to keep the WriteBatch fast path.
   bool record_latency = false;
-  /// Optional metrics sink: when set, the scheduled run modes take an
+  /// Optional metrics sink: when set, scheduled execution takes an
   /// epoch-granular snapshot (ops, erases, clock, GC time) at every
   /// rebalance-epoch boundary -- the time-series half of the bench "metrics"
   /// object. Written only at quiescent boundaries, never on the hot path.
@@ -97,9 +96,9 @@ struct WorkloadParams {
 /// virtual time went. Per-cause values are deltas of the owning chip's
 /// by-category device counters across the op, so gc_us captures garbage
 /// collection the op's write-back triggered, meta_us the journal traffic it
-/// induced. Deterministic across the scheduled run modes: per-shard op order
-/// is fixed by the schedule and the cross-shard fold visits shards in index
-/// order, with a strictly-greater-wins rule so ties keep the first sample.
+/// induced. Deterministic inline and threaded: per-shard op order is fixed
+/// by the schedule and the cross-shard fold visits shards in index order,
+/// with a strictly-greater-wins rule so ties keep the first sample.
 struct WorstOpSample {
   uint64_t total_us = 0;  ///< Virtual-clock advance across the whole op.
   uint64_t read_us = 0;   ///< Reading-step device time within the op.
@@ -118,6 +117,20 @@ struct WorstOpSample {
   friend bool operator==(const WorstOpSample& a,
                          const WorstOpSample& b) = default;
 };
+
+/// Point-in-time read of one chip's virtual clock and by-category time
+/// totals -- the before-side of a per-op (or per-transaction) cost sample.
+struct CostSnap {
+  uint64_t clock_us = 0;
+  uint64_t read_us = 0;
+  uint64_t write_us = 0;
+  uint64_t gc_us = 0;
+  uint64_t meta_us = 0;
+};
+CostSnap SnapCost(flash::FlashDevice* dev);
+/// Sample formed by the counter advance since `before` on the same chip.
+WorstOpSample CostSince(const CostSnap& before, flash::FlashDevice* dev,
+                        PageId pid);
 
 /// Virtual-time breakdown of a measured run.
 struct RunStats {
@@ -152,19 +165,19 @@ struct RunStats {
   /// for device-parallel throughput, unlike the per-category sums which
   /// count every chip's busy time.
   uint64_t elapsed_vt_us = 0;
-  /// Wall-clock nanoseconds the pipelined producer spent parked waiting for
-  /// a per-shard credit (RunPipelined only; 0 elsewhere). Wall time, not
-  /// virtual time: excluded from determinism comparisons.
+  /// Wall-clock nanoseconds the producer spent waiting for a per-shard
+  /// credit (threaded Execute only; 0 elsewhere). Wall time, not virtual
+  /// time: excluded from determinism comparisons.
   uint64_t credit_wait_ns = 0;
 
   // --- Per-operation latency (WorkloadParams::record_latency only) --------
   /// Distribution of per-op virtual latency in microseconds. Merged across
   /// shards by counter addition, so it is bit-identical across the
-  /// sequential, batched, parallel, and pipelined executions of one
-  /// schedule. Empty when recording is off. Epoch-boundary work (bucket
-  /// migration, scrub sweeps, the migration journal) runs while the shards
-  /// are quiescent and belongs to no operation, so it appears in the
-  /// migrate/scrub/meta counters above but never in this distribution.
+  /// sequential, inline and threaded executions of one schedule. Empty when
+  /// recording is off. Epoch-boundary work (bucket migration, scrub sweeps,
+  /// the migration journal) runs while the shards are quiescent and belongs
+  /// to no operation, so it appears in the migrate/scrub/meta counters above
+  /// but never in this distribution.
   LatencyHistogram latency;
   /// The run's slowest operation with per-cause attribution (see
   /// WorstOpSample). Invalid when recording is off.
@@ -249,50 +262,29 @@ class UpdateDriver {
   /// consumption) of Run().
   Schedule MakeSchedule(uint64_t num_ops);
 
-  /// Executes `schedule` through the batched WriteBatch path on the calling
-  /// thread: per shard (or the whole store when it is not a ShardedStore),
-  /// ops run in schedule order in windows of `batch_size`; each window's
-  /// write-backs are queued and issued as one WriteBatch. Reads of a page
-  /// with a queued write-back are served from the queued image, so
-  /// read-after-write semantics match sequential execution. Accumulates into
-  /// `*out`.
-  Status RunBatched(const Schedule& schedule, uint32_t batch_size,
-                    RunStats* out);
-
-  /// Same execution as RunBatched, but each shard's windows are submitted to
-  /// that shard's ShardExecutor worker and completion Statuses are gathered
-  /// from the returned futures -- wall-clock parallelism across chips. The
-  /// store must be a ShardedStore and `executor` must have at least
-  /// num_shards() workers; per-shard device state, stats, and virtual clocks
-  /// end up bit-identical to RunBatched on the same schedule.
+  /// Executes `schedule` in per-shard windows of `batch` ops (the whole
+  /// store is one shard when it is not a ShardedStore). A window runs its ops
+  /// in schedule order and queues their write-backs, flushed as one
+  /// WriteBatch at the window's end; a read of a page with a queued
+  /// write-back is served from the queued image, so read-after-write
+  /// semantics match sequential execution. Windows are submitted round-robin
+  /// across the shards, each shard's in schedule order.
   ///
-  /// Submission is shard-sequential (all of shard 0's windows, then shard
-  /// 1's, ...): with bounded executor rings a hot shard head-of-line blocks
-  /// the producer and the remaining chips sit idle -- the steady-state
-  /// weakness RunPipelined exists to remove.
-  Status RunParallel(const Schedule& schedule, uint32_t batch_size,
-                     ftl::ShardExecutor* executor, RunStats* out);
-
-  /// Continuous submission mode: streams the schedule's windows round-robin
-  /// across the shards, keeping at most `max_inflight` windows outstanding
-  /// per shard (a per-shard credit counter, returned by completion callbacks
-  /// on the worker threads -- no global join anywhere in the run). Windows of
-  /// one shard are still submitted in schedule order, so per-shard device
-  /// state, stats, and virtual clocks stay bit-identical to RunBatched /
-  /// RunParallel on the same schedule; only the wall-clock interleaving
-  /// across shards changes. On the first window error submission stops and
-  /// the in-flight windows are drained before the error returns.
-  /// `max_inflight` should not exceed the executor's ring capacity or
-  /// submission degrades to blocking pushes.
+  /// With a null `executor` every window runs inline on the calling thread
+  /// (`depth` is ignored) -- the determinism reference. Otherwise shard i's
+  /// windows run on executor worker i, at most `depth` of them in flight
+  /// per shard; when every shard with work left is at its limit the caller
+  /// waits for a credit (ShardExecutor::WaitUntil). Per-shard device state,
+  /// stats and virtual clocks are bit-identical either way; only the
+  /// wall-clock interleaving across shards changes. On the first window
+  /// error submission stops and the in-flight windows drain before the error
+  /// returns. `depth` should not exceed the executor's ring capacity or
+  /// submission degrades to blocking pushes. Accumulates into `*out`.
   ///
-  /// Unlike RunParallel, this mode does not need a ShardedStore: against a
-  /// flat store the whole schedule is one stream fed depth-`max_inflight` to
-  /// executor worker 0, giving the single-chip experiments a threaded run
-  /// mode that is bit-identical to RunBatched on the same schedule (and,
-  /// with batch_size 1, to the plain sequential Run() path).
-  Status RunPipelined(const Schedule& schedule, uint32_t batch_size,
-                      uint32_t max_inflight, ftl::ShardExecutor* executor,
-                      RunStats* out);
+  /// InvalidArgument when `batch` is 0, or with an executor when `depth` is
+  /// 0 or the executor has fewer workers than the store has shards.
+  Status Execute(const Schedule& schedule, uint32_t batch, uint32_t depth,
+                 ftl::ShardExecutor* executor, RunStats* out);
 
   /// One full update operation against page `pid`.
   Status UpdateOperation(PageId pid);
@@ -304,7 +296,7 @@ class UpdateDriver {
   uint32_t num_pages() const { return num_pages_; }
 
   /// Wall-clock-domain trace lane (TraceRecorder::wall_lane()) for the
-  /// pipelined producer's credit-wait events. Written only by the submitting
+  /// threaded producer's credit-wait events. Written only by the submitting
   /// thread; null disables. Per-shard virtual-time events attach one layer
   /// down via FlashDevice::set_trace.
   void set_wall_trace(obs::TraceShard* lane) { wall_trace_ = lane; }
@@ -343,26 +335,13 @@ class UpdateDriver {
   };
 
   /// One contiguous slice of a schedule: the unit the epoch wrapper hands to
-  /// the chunk runners, and the whole schedule when epochs are off.
+  /// ExecuteChunk, and the whole schedule when epochs are off.
   using ChunkSpan = std::span<const PlannedOp>;
 
   /// Splits `chunk` into per-shard streams (one stream for a flat store)
   /// using the store's *current* pid routing -- must be re-done after any
   /// bucket migration.
   std::vector<ShardStream> PartitionSchedule(ChunkSpan chunk);
-  /// Point-in-time read of one chip's virtual clock and by-category time
-  /// totals -- the before-side of a per-op latency sample.
-  struct CostSnap {
-    uint64_t clock_us = 0;
-    uint64_t read_us = 0;
-    uint64_t write_us = 0;
-    uint64_t gc_us = 0;
-    uint64_t meta_us = 0;
-  };
-  static CostSnap SnapCost(flash::FlashDevice* dev);
-  /// Sample formed by the counter advance since `before` on the same chip.
-  static WorstOpSample CostSince(const CostSnap& before,
-                                 flash::FlashDevice* dev, PageId pid);
   /// Folds every stream's histogram and worst-op into the driver's pending
   /// accumulators, in shard-index order (order-stable ties). Caller must
   /// have quiesced the streams' workers first.
@@ -375,17 +354,17 @@ class UpdateDriver {
   uint64_t StoreClockUs() const;
   /// Folds the op counts, the device-stats / clock delta since `before` /
   /// `clock0_us`, and the pending latency samples into `*out`. The one
-  /// accumulator of every run entry point, sequential and scheduled.
+  /// accumulator of both run entry points, Run and Execute.
   void AccumulateRunStats(const flash::FlashStats& before, uint64_t clock0_us,
                           uint64_t ops, uint64_t update_ops, RunStats* out);
 
-  /// The common run skeleton: snapshots stats, splits `schedule` into
+  /// Execute's skeleton: snapshots stats, splits `schedule` into
   /// wear-leveling epochs (params_.rebalance_epoch_ops; one chunk when
-  /// disabled), alternates `run_chunk` with RebalanceEpoch, and accumulates
-  /// into `*out`. `executor` (may be null) executes migration copies.
-  Status RunEpochs(const Schedule& schedule, ftl::ShardExecutor* executor,
-                   RunStats* out,
-                   const std::function<Status(ChunkSpan)>& run_chunk);
+  /// disabled), alternates ExecuteChunk with RebalanceEpoch / ScrubEpoch,
+  /// and accumulates into `*out`. `executor` (may be null) also executes
+  /// migration copies.
+  Status RunEpochs(const Schedule& schedule, uint32_t batch, uint32_t depth,
+                   ftl::ShardExecutor* executor, RunStats* out);
   /// Epoch boundary (shards quiescent): feeds the finished chunk's write
   /// heat to the router, plans against per-shard erase counts, and executes
   /// the planned bucket migrations.
@@ -395,14 +374,10 @@ class UpdateDriver {
   /// scrub candidates (ShardedStore::ScrubShards).
   Status ScrubEpoch(RunStats* out);
 
-  /// Mode bodies, one chunk at a time (validation and accounting live in the
-  /// public wrappers / RunEpochs).
-  Status RunBatchedChunk(ChunkSpan chunk, uint32_t batch_size);
-  Status RunParallelChunk(ChunkSpan chunk, uint32_t batch_size,
-                          ftl::ShardExecutor* executor);
-  Status RunPipelinedChunk(ChunkSpan chunk, uint32_t batch_size,
-                           uint32_t max_inflight,
-                           ftl::ShardExecutor* executor);
+  /// Execute's body, one epoch chunk at a time (validation lives in
+  /// Execute, accounting in RunEpochs).
+  Status ExecuteChunk(ChunkSpan chunk, uint32_t batch, uint32_t depth,
+                      ftl::ShardExecutor* executor);
 
   /// Applies one in-memory update command to `page`, notifying the store.
   Status ApplyOneUpdate(PageId pid, MutBytes page);
@@ -424,7 +399,7 @@ class UpdateDriver {
   uint32_t hot_pid_stride_ = 0;
   uint32_t num_pages_ = 0;
   uint32_t data_size_;
-  /// Cumulative wall time the pipelined producer spent parked on credits
+  /// Cumulative wall time the threaded producer spent waiting for credits
   /// (only the submitting thread writes it; see RunStats::credit_wait_ns).
   uint64_t credit_wait_ns_ = 0;
   /// Wall lane for credit-wait trace events (see set_wall_trace).

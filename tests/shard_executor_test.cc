@@ -8,10 +8,8 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -185,8 +183,9 @@ TEST(ShardExecutorTest, CallbackRunsOnWorkerWithStatusAndCounters) {
 }
 
 // The backpressure stress test: worker 0 is artificially slow while three
-// fast siblings churn. A credit-gated producer (the same protocol
-// UpdateDriver::RunPipelined uses) keeps at most K windows outstanding per
+// fast siblings churn. A credit-gated producer (the protocol
+// UpdateDriver::Execute and TpccDriver use: in_flight() as the credit count,
+// WaitUntil() when no worker has one) keeps at most K tasks outstanding per
 // worker; each task samples its own worker's in_flight() -- exact on the
 // worker thread -- and the maximum observed depth must never exceed K. Ends
 // with Shutdown() while the slow ring is still backed up: drain must
@@ -198,24 +197,23 @@ TEST(ShardExecutorTest, CreditGatedProducerNeverExceedsDepthK) {
   constexpr int kTasksPerWorker = 60;
   ShardExecutor ex(kWorkers, /*queue_capacity=*/kDepth);
   std::vector<std::atomic<uint64_t>> max_seen(kWorkers);
-  std::atomic<uint32_t> credits_used[kWorkers] = {};
-  std::mutex mu;
-  std::condition_variable cv;
+  std::atomic<int> completed_total{0};
 
   int submitted[kWorkers] = {};
-  int completed_total = 0;
-  auto all_submitted = [&] {
+  auto has_work = [&](uint32_t w) { return submitted[w] < kTasksPerWorker; };
+  auto any_credit = [&] {
     for (uint32_t w = 0; w < kWorkers; ++w) {
-      if (submitted[w] < kTasksPerWorker) return false;
+      if (has_work(w) && ex.in_flight(w) < kDepth) return true;
     }
-    return true;
+    return false;
   };
-  while (!all_submitted()) {
-    bool progress = false;
+  for (;;) {
+    bool work_left = false;
+    bool submitted_any = false;
     for (uint32_t w = 0; w < kWorkers; ++w) {
-      if (submitted[w] >= kTasksPerWorker) continue;
-      if (credits_used[w].load(std::memory_order_acquire) >= kDepth) continue;
-      credits_used[w].fetch_add(1, std::memory_order_acq_rel);
+      if (!has_work(w)) continue;
+      work_left = true;
+      if (ex.in_flight(w) >= kDepth) continue;
       ASSERT_TRUE(ex.SubmitWithCallback(
                         w,
                         [&ex, &max_seen, w] {
@@ -232,33 +230,84 @@ TEST(ShardExecutorTest, CreditGatedProducerNeverExceedsDepthK) {
                           }
                           return Status::OK();
                         },
-                        [&, w](const Status& st) {
+                        [&](const Status& st) {
                           EXPECT_TRUE(st.ok());
-                          credits_used[w].fetch_sub(1,
-                                                    std::memory_order_acq_rel);
-                          std::lock_guard<std::mutex> lock(mu);
-                          ++completed_total;
-                          cv.notify_one();
+                          completed_total.fetch_add(1);
                         })
                       .ok());
       ++submitted[w];
-      progress = true;
+      submitted_any = true;
     }
-    if (!progress) {
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait_for(lock, std::chrono::milliseconds(5));
-    }
+    if (!work_left) break;
+    if (!submitted_any) ex.WaitUntil(any_credit);
   }
   // Shutdown while worker 0's ring is still backed up: deterministic drain.
   ex.Shutdown();
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    EXPECT_EQ(completed_total, static_cast<int>(kWorkers) * kTasksPerWorker);
-  }
+  EXPECT_EQ(completed_total.load(),
+            static_cast<int>(kWorkers) * kTasksPerWorker);
   for (uint32_t w = 0; w < kWorkers; ++w) {
     EXPECT_LE(max_seen[w].load(), kDepth) << "worker " << w;
     EXPECT_EQ(ex.completed_count(w), static_cast<uint64_t>(kTasksPerWorker));
   }
+}
+
+TEST(ShardExecutorTest, WaitUntilReportsWaitedTime) {
+  ShardExecutor ex(1);
+  // Already true: no wait, no clock read.
+  EXPECT_EQ(ex.WaitUntil([] { return true; }), 0u);
+  ASSERT_TRUE(ex.SubmitWithCallback(
+                    0,
+                    [] {
+                      std::this_thread::sleep_for(
+                          std::chrono::milliseconds(5));
+                      return Status::OK();
+                    },
+                    nullptr)
+                  .ok());
+  // Outlasts the spin, so the producer parks and is woken by the
+  // completion.
+  EXPECT_GE(ex.WaitUntil([&] { return ex.in_flight(0) == 0; }), 1'000'000u);
+  EXPECT_EQ(ex.in_flight(0), 0u);
+}
+
+// The lost-wakeup stress test for the producer park. Each round submits a
+// burst of tasks, some instant (completion races the producer's spin and
+// park) and some slow enough that the producer parks first, then waits for
+// one worker's credit or drains everything. A completion that slipped
+// between the producer's predicate check and its park would hang the test;
+// under TSan this also checks the park/notify handshake is race-free.
+TEST(ShardExecutorTest, WaitUntilAndDrainNeverLoseAWakeup) {
+  constexpr uint32_t kWorkers = 3;
+  constexpr int kRounds = 2000;
+  ShardExecutor ex(kWorkers, /*queue_capacity=*/4);
+  std::atomic<uint64_t> ran{0};
+  uint64_t submitted = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    const uint32_t w = static_cast<uint32_t>(round) % kWorkers;
+    const bool slow = round % 64 == 0;
+    ASSERT_TRUE(ex.SubmitWithCallback(
+                      w,
+                      [&ran, slow] {
+                        if (slow) {
+                          std::this_thread::sleep_for(
+                              std::chrono::microseconds(200));
+                        }
+                        ran.fetch_add(1, std::memory_order_relaxed);
+                        return Status::OK();
+                      },
+                      nullptr)
+                    .ok());
+    ++submitted;
+    if (round % 7 == 0) {
+      ex.Drain();
+      EXPECT_EQ(ran.load(std::memory_order_relaxed), submitted);
+    } else {
+      ex.WaitUntil([&] { return ex.in_flight(w) == 0; });
+    }
+  }
+  ex.Drain();
+  EXPECT_EQ(ran.load(), submitted);
+  for (uint32_t w = 0; w < kWorkers; ++w) EXPECT_EQ(ex.in_flight(w), 0u);
 }
 
 struct SeedArg {
@@ -337,10 +386,10 @@ TEST(ShardExecutorTest, ConcurrentShardedStoreStress) {
   }
 }
 
-// Same engine exercised through the driver's RunParallel with verification
-// enabled -- batched WriteBacks, reads racing across shards, every read
-// checked against the shadow database.
-TEST(ShardExecutorTest, RunParallelVerifiedStress) {
+// Same engine exercised through the driver's threaded Execute with
+// verification enabled -- batched WriteBacks, reads racing across shards,
+// every read checked against the shadow database.
+TEST(ShardExecutorTest, ThreadedExecuteVerifiedStress) {
   constexpr uint32_t kShards = 4;
   auto spec = methods::ParseMethodSpec("PDL(256B)");
   ASSERT_TRUE(spec.ok());
@@ -354,8 +403,9 @@ TEST(ShardExecutorTest, RunParallelVerifiedStress) {
   workload::Schedule schedule = driver.MakeSchedule(1500);
   ShardExecutor ex(kShards);
   workload::RunStats stats;
-  ASSERT_TRUE(driver.RunParallel(schedule, 16, &ex, &stats).ok());
+  ASSERT_TRUE(driver.Execute(schedule, 16, 1024, &ex, &stats).ok());
   EXPECT_EQ(stats.operations, 1500u);
+  for (uint32_t w = 0; w < kShards; ++w) EXPECT_EQ(ex.in_flight(w), 0u);
 }
 
 }  // namespace

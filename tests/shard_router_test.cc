@@ -285,7 +285,8 @@ TEST(ShardRouterTest, EraseCountsConvergeUnderSkew) {
   PreparedRun off = PrepareSkewed(90.0, 0.0, 400, 4000, &schedule_off);
   const std::vector<uint64_t> off_before = off.store->shard_erases();
   RunStats stats_off;
-  ASSERT_TRUE(off.driver->RunBatched(schedule_off, 8, &stats_off).ok());
+  ASSERT_TRUE(
+      off.driver->Execute(schedule_off, 8, 0, nullptr, &stats_off).ok());
   const double ratio_off =
       EraseDeltaRatio(off_before, off.store->shard_erases());
   EXPECT_EQ(stats_off.migrations, 0u);
@@ -294,7 +295,7 @@ TEST(ShardRouterTest, EraseCountsConvergeUnderSkew) {
   PreparedRun on = PrepareSkewed(90.0, 1.25, 400, 4000, &schedule_on);
   const std::vector<uint64_t> on_before = on.store->shard_erases();
   RunStats stats_on;
-  ASSERT_TRUE(on.driver->RunBatched(schedule_on, 8, &stats_on).ok());
+  ASSERT_TRUE(on.driver->Execute(schedule_on, 8, 0, nullptr, &stats_on).ok());
   const double ratio_on =
       EraseDeltaRatio(on_before, on.store->shard_erases());
 
@@ -312,12 +313,14 @@ TEST(ShardRouterTest, ZeroSkewStaysLegacyBitIdentical) {
   Schedule schedule_plain;
   PreparedRun plain = PrepareSkewed(0.0, 0.0, 400, 2000, &schedule_plain);
   RunStats stats_plain;
-  ASSERT_TRUE(plain.driver->RunBatched(schedule_plain, 8, &stats_plain).ok());
+  ASSERT_TRUE(
+      plain.driver->Execute(schedule_plain, 8, 0, nullptr, &stats_plain).ok());
 
   Schedule schedule_armed;
   PreparedRun armed = PrepareSkewed(0.0, 1.25, 400, 2000, &schedule_armed);
   RunStats stats_armed;
-  ASSERT_TRUE(armed.driver->RunBatched(schedule_armed, 8, &stats_armed).ok());
+  ASSERT_TRUE(
+      armed.driver->Execute(schedule_armed, 8, 0, nullptr, &stats_armed).ok());
 
   EXPECT_EQ(stats_armed.migrations, 0u);
   EXPECT_TRUE(armed.store->router()->is_identity());
@@ -325,15 +328,16 @@ TEST(ShardRouterTest, ZeroSkewStaysLegacyBitIdentical) {
   EXPECT_EQ(plain.store->shard_erases(), armed.store->shard_erases());
 }
 
-// Bucket migrations happen at epoch boundaries in every execution mode, so
-// sequential, windowed-parallel, and pipelined runs of the same schedule
-// stay bit-identical even while migrating under concurrent window
-// submission (TSan exercises the executor paths).
+// Bucket migrations happen at epoch boundaries inline and threaded, so
+// inline, queued-up-front, and credit-gated runs of the same schedule stay
+// bit-identical even while migrating under concurrent window submission
+// (TSan exercises the executor paths).
 TEST(ShardRouterTest, MigrationIsDeterministicAcrossModes) {
   Schedule schedule_seq;
   PreparedRun seq = PrepareSkewed(90.0, 1.25, 400, 3000, &schedule_seq);
   RunStats stats_seq;
-  ASSERT_TRUE(seq.driver->RunBatched(schedule_seq, 8, &stats_seq).ok());
+  ASSERT_TRUE(
+      seq.driver->Execute(schedule_seq, 8, 0, nullptr, &stats_seq).ok());
 
   Schedule schedule_par;
   PreparedRun par = PrepareSkewed(90.0, 1.25, 400, 3000, &schedule_par);
@@ -341,7 +345,8 @@ TEST(ShardRouterTest, MigrationIsDeterministicAcrossModes) {
   {
     ShardExecutor executor(4);
     ASSERT_TRUE(
-        par.driver->RunParallel(schedule_par, 8, &executor, &stats_par).ok());
+        par.driver->Execute(schedule_par, 8, 1024, &executor, &stats_par)
+            .ok());
   }
 
   Schedule schedule_pipe;
@@ -349,10 +354,9 @@ TEST(ShardRouterTest, MigrationIsDeterministicAcrossModes) {
   RunStats stats_pipe;
   {
     ShardExecutor executor(4, 8);
-    ASSERT_TRUE(pipe.driver
-                    ->RunPipelined(schedule_pipe, 8, 4, &executor,
-                                   &stats_pipe)
-                    .ok());
+    ASSERT_TRUE(
+        pipe.driver->Execute(schedule_pipe, 8, 4, &executor, &stats_pipe)
+            .ok());
   }
 
   EXPECT_GT(stats_seq.migrations, 0u);
@@ -543,7 +547,7 @@ TEST(ShardRouterTest, ParallelRecoveryMatchesSequential) {
 
 // Journal appends happen on the submitting thread at drained epoch
 // boundaries, so a journaled store's migrations must stay inside the
-// bit-determinism envelope: sequential and threaded execution of the same
+// bit-determinism envelope: inline and threaded execution of the same
 // schedule leave identical chip clocks, swap counts, and journal epochs.
 TEST(ShardRouterTest, JournaledMigrationsStayDeterministicAcrossModes) {
   auto spec = methods::ParseMethodSpec("OPU");
@@ -582,7 +586,8 @@ TEST(ShardRouterTest, JournaledMigrationsStayDeterministicAcrossModes) {
   Schedule schedule_seq;
   auto seq = build(&schedule_seq);
   RunStats stats_seq;
-  ASSERT_TRUE(seq.driver->RunBatched(schedule_seq, 8, &stats_seq).ok());
+  ASSERT_TRUE(
+      seq.driver->Execute(schedule_seq, 8, 0, nullptr, &stats_seq).ok());
 
   Schedule schedule_par;
   auto par = build(&schedule_par);
@@ -590,7 +595,8 @@ TEST(ShardRouterTest, JournaledMigrationsStayDeterministicAcrossModes) {
   {
     ShardExecutor executor(kShards);
     ASSERT_TRUE(
-        par.driver->RunParallel(schedule_par, 8, &executor, &stats_par).ok());
+        par.driver->Execute(schedule_par, 8, 1024, &executor, &stats_par)
+            .ok());
   }
 
   EXPECT_GT(stats_seq.migrations, 0u);

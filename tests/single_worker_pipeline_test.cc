@@ -1,9 +1,10 @@
-// Single-worker pipelined mode: RunPipelined against a flat (non-sharded)
-// PageStore, depth-K on a one-worker executor. The claim under test is the
-// one exp1-exp7 rely on for --pipeline: threaded execution is bit-identical
-// to sequential -- same on-flash state, same virtual clock, same recorded
-// latency distribution -- for any depth, because the single stream's windows
-// run in schedule order no matter how deep the submission pipeline is.
+// Single-worker pipelined mode: a threaded UpdateDriver::Execute against a
+// flat (non-sharded) PageStore, depth-K on a one-worker executor. The claim
+// under test is the one exp1-exp7 rely on for --pipeline: threaded
+// execution is bit-identical to sequential -- same on-flash state, same
+// virtual clock, same recorded latency distribution -- for any depth,
+// because the single stream's windows run in schedule order no matter how
+// deep the submission pipeline is.
 
 #include <gtest/gtest.h>
 
@@ -78,8 +79,7 @@ struct PipelinedRun {
     EXPECT_TRUE(driver->Warmup(1.0, 400).ok());
     const Schedule schedule = driver->MakeSchedule(num_ops);
     ftl::ShardExecutor executor(1);
-    EXPECT_TRUE(
-        driver->RunPipelined(schedule, 1, depth, &executor, &stats).ok());
+    EXPECT_TRUE(driver->Execute(schedule, 1, depth, &executor, &stats).ok());
   }
 };
 

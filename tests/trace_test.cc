@@ -5,9 +5,10 @@
 //      reorders the survivors.
 //   2. Merging sorts by (ts, shard, seq) and CanonicalBytes excludes
 //      wall-domain categories.
-//   3. Trace determinism across run modes: RunBatched / RunParallel /
-//      RunPipelined over the same schedule produce byte-identical canonical
-//      streams; concurrent TPC-C Serve equals its single-threaded Replay at
+//   3. Trace determinism across run modes: inline and threaded Execute
+//      (windows queued up front, or credit-gated) over the same schedule
+//      produce byte-identical canonical streams and equal trace.emitted
+//      counts; concurrent TPC-C Serve equals its single-threaded Replay at
 //      1, 2, and 4 shards.
 //   4. Recording changes nothing: a traced run's clocks, stats, and latency
 //      histogram are bit-identical to an untraced run's (null-sink
@@ -135,31 +136,69 @@ Rig MakeRig(bool traced) {
 }
 
 TEST(TraceDeterminismTest, RunModesProduceIdenticalCanonicalStreams) {
-  Rig batched = MakeRig(true);
-  Rig parallel = MakeRig(true);
-  Rig pipelined = MakeRig(true);
+  Rig inline_rig = MakeRig(true);
+  Rig queued = MakeRig(true);
+  Rig gated = MakeRig(true);
   // One schedule, three identically prepared rigs: the three modes execute
   // the very same operations.
-  const workload::Schedule schedule = batched.driver->MakeSchedule(600);
+  const workload::Schedule schedule = inline_rig.driver->MakeSchedule(600);
 
-  ftl::ShardExecutor par_exec(2);
-  ftl::ShardExecutor pipe_exec(2);
+  ftl::ShardExecutor queued_exec(2);
+  ftl::ShardExecutor gated_exec(2);
   workload::RunStats s1, s2, s3;
-  ASSERT_TRUE(batched.driver->RunBatched(schedule, 8, &s1).ok());
-  ASSERT_TRUE(parallel.driver->RunParallel(schedule, 8, &par_exec, &s2).ok());
+  ASSERT_TRUE(inline_rig.driver->Execute(schedule, 8, 0, nullptr, &s1).ok());
   ASSERT_TRUE(
-      pipelined.driver->RunPipelined(schedule, 8, 4, &pipe_exec, &s3).ok());
+      queued.driver->Execute(schedule, 8, 1024, &queued_exec, &s2).ok());
+  ASSERT_TRUE(gated.driver->Execute(schedule, 8, 1, &gated_exec, &s3).ok());
 
-  const std::string canon = batched.recorder->CanonicalBytes();
-  EXPECT_GT(batched.recorder->total_emitted(), 0u);
-  EXPECT_EQ(parallel.recorder->CanonicalBytes(), canon);
-  EXPECT_EQ(pipelined.recorder->CanonicalBytes(), canon);
+  const std::string canon = inline_rig.recorder->CanonicalBytes();
+  EXPECT_GT(inline_rig.recorder->total_emitted(), 0u);
+  EXPECT_EQ(queued.recorder->CanonicalBytes(), canon);
+  EXPECT_EQ(gated.recorder->CanonicalBytes(), canon);
   // The streams carry op spans: one per measured operation.
   uint64_t op_spans = 0;
-  for (const TraceEvent& e : batched.recorder->Merged(true)) {
+  for (const TraceEvent& e : inline_rig.recorder->Merged(true)) {
     if (e.cat == TraceCat::kOpSpan) ++op_spans;
   }
   EXPECT_EQ(op_spans, 600u);
+}
+
+TEST(TraceDeterminismTest, EmittedCountIgnoresCreditWaits) {
+  // Depth-1 credits on single-op windows make the producer wait for almost
+  // every submission; those waits land on the wall lane, whose event count
+  // moves with host timing. trace.emitted counts the per-shard lanes only,
+  // so it must be equal across identical runs (and equal to an inline run,
+  // which never waits).
+  auto emitted_of = [](Rig* rig, ftl::ShardExecutor* executor,
+                       const workload::Schedule& schedule,
+                       MetricsRegistry* reg) {
+    workload::RunStats stats;
+    EXPECT_TRUE(rig->driver
+                    ->Execute(schedule, 1, 1, executor, &stats)
+                    .ok());
+    ImportTraceStats(reg, "trace", *rig->recorder);
+    // One wall event per wait, and only when the producer waited.
+    EXPECT_EQ(reg->Get("trace.wall_emitted") > 0, stats.credit_wait_ns > 0);
+    return reg->Get("trace.emitted");
+  };
+  Rig a = MakeRig(true);
+  Rig b = MakeRig(true);
+  Rig c = MakeRig(true);
+  const workload::Schedule schedule = a.driver->MakeSchedule(400);
+  ftl::ShardExecutor exec_a(2);
+  ftl::ShardExecutor exec_b(2);
+  MetricsRegistry reg_a, reg_b, reg_c;
+  const double emitted_a = emitted_of(&a, &exec_a, schedule, &reg_a);
+  const double emitted_b = emitted_of(&b, &exec_b, schedule, &reg_b);
+  const double emitted_c = emitted_of(&c, nullptr, schedule, &reg_c);
+  EXPECT_GT(emitted_a, 0);
+  EXPECT_EQ(emitted_a, emitted_b);
+  EXPECT_EQ(emitted_a, emitted_c);
+  EXPECT_EQ(reg_c.Get("trace.wall_emitted"), 0);
+  // The threaded runs did wait: the wall lane is where those events went.
+  EXPECT_GT(reg_a.Get("trace.wall_emitted") + reg_b.Get("trace.wall_emitted"),
+            0);
+  EXPECT_EQ(reg_a.Get("trace.dropped"), 0);
 }
 
 TEST(TraceDeterminismTest, RecordingChangesNothing) {
@@ -167,8 +206,9 @@ TEST(TraceDeterminismTest, RecordingChangesNothing) {
   Rig untraced = MakeRig(false);
   const workload::Schedule schedule = traced.driver->MakeSchedule(500);
   workload::RunStats with, without;
-  ASSERT_TRUE(traced.driver->RunBatched(schedule, 8, &with).ok());
-  ASSERT_TRUE(untraced.driver->RunBatched(schedule, 8, &without).ok());
+  ASSERT_TRUE(traced.driver->Execute(schedule, 8, 0, nullptr, &with).ok());
+  ASSERT_TRUE(
+      untraced.driver->Execute(schedule, 8, 0, nullptr, &without).ok());
   // The null-sink contract: attaching a recorder must not move a single
   // virtual-time column.
   EXPECT_EQ(traced.store->shard_clocks(), untraced.store->shard_clocks());

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "ftl/shard_executor.h"
 #include "ftl/sharded_store.h"
 #include "methods/method_factory.h"
+#include "obs/metrics_import.h"
+#include "obs/metrics_registry.h"
 #include "pdl/pdl_store.h"
 #include "workload/update_driver.h"
 
@@ -177,7 +180,7 @@ TEST(UpdateDriverScheduleTest, MakeScheduleMatchesRunDistributions) {
   EXPECT_NEAR(static_cast<double>(updates) / 2000.0, 0.40, 0.05);
 }
 
-TEST(UpdateDriverBatchedTest, VerifiedBatchedStreamWithReadAfterWrite) {
+TEST(UpdateDriverExecuteTest, VerifiedInlineStreamWithReadAfterWrite) {
   // Small database + large windows force same-pid repeats inside a window,
   // exercising the queued-image read path under verification.
   FlashDevice dev(FlashConfig::Small(8));
@@ -189,15 +192,16 @@ TEST(UpdateDriverBatchedTest, VerifiedBatchedStreamWithReadAfterWrite) {
   ASSERT_TRUE(driver.LoadDatabase(20).ok());
   Schedule schedule = driver.MakeSchedule(600);
   RunStats stats;
-  ASSERT_TRUE(driver.RunBatched(schedule, 32, &stats).ok());
+  ASSERT_TRUE(driver.Execute(schedule, 32, 0, nullptr, &stats).ok());
   EXPECT_EQ(stats.operations, 600u);
   EXPECT_GT(stats.update_ops, 0u);
 }
 
-TEST(UpdateDriverBatchedTest, BatchSizeOneMatchesUnbatchedFlashState) {
-  // Two identical stores, same seed: Run() vs MakeSchedule+RunBatched(1)
-  // must produce the same device clock (the schedules are draw-for-draw
-  // identical and windows of one op interleave reads/writes identically).
+TEST(UpdateDriverExecuteTest, BatchSizeOneMatchesUnbatchedFlashState) {
+  // Two identical stores, same seed: Run() vs MakeSchedule + inline
+  // Execute(batch 1) must produce the same device clock (the schedules are
+  // draw-for-draw identical and windows of one op interleave reads/writes
+  // identically).
   WorkloadParams params;
   params.pct_update_ops = 100.0;
   FlashDevice dev_a(FlashConfig::Small(8));
@@ -213,7 +217,7 @@ TEST(UpdateDriverBatchedTest, BatchSizeOneMatchesUnbatchedFlashState) {
   ASSERT_TRUE(driver_b.LoadDatabase(100).ok());
   Schedule schedule = driver_b.MakeSchedule(400);
   RunStats stats_b;
-  ASSERT_TRUE(driver_b.RunBatched(schedule, 1, &stats_b).ok());
+  ASSERT_TRUE(driver_b.Execute(schedule, 1, 0, nullptr, &stats_b).ok());
 
   EXPECT_EQ(dev_a.clock().now_us(), dev_b.clock().now_us());
   EXPECT_EQ(stats_a.read_step.total_us(), stats_b.read_step.total_us());
@@ -221,144 +225,122 @@ TEST(UpdateDriverBatchedTest, BatchSizeOneMatchesUnbatchedFlashState) {
   EXPECT_EQ(stats_a.gc.total_us(), stats_b.gc.total_us());
 }
 
-TEST(UpdateDriverParallelTest, MatchesRunBatchedPerShardClocks) {
-  auto spec = methods::ParseMethodSpec("PDL(256B)");
-  ASSERT_TRUE(spec.ok());
-  constexpr uint32_t kShards = 4;
-  WorkloadParams params;
-  params.verify = true;
-  params.pct_update_ops = 75.0;
+/// Runs one 800-op schedule over a fresh 4-shard PDL store, inline or
+/// threaded, for the inline-vs-threaded comparisons below.
+struct ShardedExecution {
+  std::unique_ptr<ftl::ShardedStore> store;
+  std::unique_ptr<UpdateDriver> driver;
+  RunStats stats;
 
-  auto prepare = [&](std::unique_ptr<ftl::ShardedStore>* store,
-                     std::unique_ptr<UpdateDriver>* driver) {
-    *store = methods::CreateShardedStore(FlashConfig::Small(8), kShards,
-                                         *spec);
-    *driver = std::make_unique<UpdateDriver>(store->get(), params);
-    ASSERT_TRUE((*driver)->LoadDatabase(150).ok());
-  };
-
-  std::unique_ptr<ftl::ShardedStore> store_seq, store_par;
-  std::unique_ptr<UpdateDriver> driver_seq, driver_par;
-  prepare(&store_seq, &driver_seq);
-  prepare(&store_par, &driver_par);
-
-  Schedule schedule_seq = driver_seq->MakeSchedule(800);
-  Schedule schedule_par = driver_par->MakeSchedule(800);
-
-  RunStats stats_seq, stats_par;
-  ASSERT_TRUE(driver_seq->RunBatched(schedule_seq, 8, &stats_seq).ok());
-  ftl::ShardExecutor executor(kShards);
-  ASSERT_TRUE(
-      driver_par->RunParallel(schedule_par, 8, &executor, &stats_par).ok());
-
-  for (uint32_t s = 0; s < kShards; ++s) {
-    EXPECT_EQ(store_seq->shard_device(s)->clock().now_us(),
-              store_par->shard_device(s)->clock().now_us())
-        << "shard " << s;
+  ShardedExecution(const WorkloadParams& params, uint32_t batch,
+                   uint32_t depth, ftl::ShardExecutor* executor) {
+    auto spec = methods::ParseMethodSpec("PDL(256B)");
+    EXPECT_TRUE(spec.ok());
+    store = methods::CreateShardedStore(FlashConfig::Small(8), 4, *spec);
+    driver = std::make_unique<UpdateDriver>(store.get(), params);
+    EXPECT_TRUE(driver->LoadDatabase(150).ok());
+    const Schedule schedule = driver->MakeSchedule(800);
+    EXPECT_TRUE(
+        driver->Execute(schedule, batch, depth, executor, &stats).ok());
   }
-  EXPECT_EQ(stats_seq.read_step.total_us(), stats_par.read_step.total_us());
-  EXPECT_EQ(stats_seq.write_step.total_us(),
-            stats_par.write_step.total_us());
-  EXPECT_EQ(stats_seq.gc.total_us(), stats_par.gc.total_us());
-  EXPECT_EQ(stats_seq.erases, stats_par.erases);
+};
 
-  // And the logical contents agree everywhere.
-  ByteBuffer a(store_seq->device()->geometry().data_size);
-  ByteBuffer b(a.size());
+/// Every chip's clock, the stats' device time, and every page's contents
+/// agree between the two executions (checked in that order: the content
+/// reads advance the clocks).
+void ExpectSameExecution(const ShardedExecution& a, const ShardedExecution& b,
+                         const std::string& label) {
+  for (uint32_t s = 0; s < a.store->num_shards(); ++s) {
+    EXPECT_EQ(a.store->shard_device(s)->clock().now_us(),
+              b.store->shard_device(s)->clock().now_us())
+        << label << " shard " << s;
+  }
+  EXPECT_EQ(a.stats.operations, b.stats.operations) << label;
+  EXPECT_EQ(a.stats.read_step.total_us(), b.stats.read_step.total_us())
+      << label;
+  EXPECT_EQ(a.stats.write_step.total_us(), b.stats.write_step.total_us())
+      << label;
+  EXPECT_EQ(a.stats.gc.total_us(), b.stats.gc.total_us()) << label;
+  EXPECT_EQ(a.stats.erases, b.stats.erases) << label;
+  ByteBuffer x(a.store->device()->geometry().data_size);
+  ByteBuffer y(x.size());
   for (PageId pid = 0; pid < 150; ++pid) {
-    ASSERT_TRUE(store_seq->ReadPage(pid, a).ok());
-    ASSERT_TRUE(store_par->ReadPage(pid, b).ok());
-    EXPECT_TRUE(BytesEqual(a, b)) << "pid " << pid;
+    ASSERT_TRUE(a.store->ReadPage(pid, x).ok());
+    ASSERT_TRUE(b.store->ReadPage(pid, y).ok());
+    EXPECT_TRUE(BytesEqual(x, y)) << label << " pid " << pid;
   }
 }
 
-TEST(UpdateDriverParallelTest, RunParallelIsDeterministicAcrossRuns) {
+TEST(UpdateDriverExecuteTest, ThreadedMatchesInlinePerShardClocks) {
+  // Uniform pids, every window queued up front (depth = ring capacity).
+  WorkloadParams params;
+  params.verify = true;
+  params.pct_update_ops = 75.0;
+  const ShardedExecution inline_run(params, 8, 0, nullptr);
+  ftl::ShardExecutor executor(4);
+  const ShardedExecution threaded(params, 8, 1024, &executor);
+  EXPECT_EQ(threaded.stats.operations, 800u);
+  ExpectSameExecution(inline_run, threaded, "uniform");
+}
+
+TEST(UpdateDriverExecuteTest, CreditGatedMatchesInlineUnderSkew) {
+  // Continuous credit-gated submission must leave every chip's device state
+  // exactly where the inline execution leaves it -- for shallow and deep
+  // in-flight windows alike, on a skewed pid distribution.
+  WorkloadParams params;
+  params.verify = true;
+  params.pct_update_ops = 75.0;
+  params.hot_shard_pct = 50.0;  // shard 0 is the deliberate hotspot
+  for (uint32_t depth : {1u, 2u, 8u}) {
+    // A fresh reference each time: the content comparison reads pages,
+    // which advances the clocks.
+    const ShardedExecution inline_run(params, 8, 0, nullptr);
+    // Ring capacity == depth: credits, not blocking pushes, are the
+    // backpressure.
+    ftl::ShardExecutor executor(4, depth);
+    const ShardedExecution threaded(params, 8, depth, &executor);
+    ExpectSameExecution(inline_run, threaded,
+                        "depth " + std::to_string(depth));
+  }
+}
+
+TEST(UpdateDriverExecuteTest, ThreadedRunsAreReproducibleAndDrained) {
+  // Two identical threaded runs leave identical chips and identical
+  // executor counters: Execute returns only after every worker has bumped
+  // its completed counter, so nothing is left in flight and the metrics
+  // import is final.
   auto spec = methods::ParseMethodSpec("OPU");
   ASSERT_TRUE(spec.ok());
   constexpr uint32_t kShards = 3;
   uint64_t clocks[2][kShards];
+  std::string executor_metrics[2];
   for (int round = 0; round < 2; ++round) {
     auto store =
         methods::CreateShardedStore(FlashConfig::Small(8), kShards, *spec);
     WorkloadParams params;
+    params.hot_shard_pct = 50.0;
     UpdateDriver driver(store.get(), params);
     ASSERT_TRUE(driver.LoadDatabase(120).ok());
     Schedule schedule = driver.MakeSchedule(500);
     ftl::ShardExecutor executor(kShards);
     RunStats stats;
-    ASSERT_TRUE(driver.RunParallel(schedule, 4, &executor, &stats).ok());
+    ASSERT_TRUE(driver.Execute(schedule, 4, 2, &executor, &stats).ok());
     for (uint32_t s = 0; s < kShards; ++s) {
       clocks[round][s] = store->shard_device(s)->clock().now_us();
+      EXPECT_EQ(executor.in_flight(s), 0u) << "round " << round;
+      EXPECT_GT(executor.completed_count(s), 0u) << "round " << round;
     }
+    obs::MetricsRegistry metrics;
+    obs::ImportExecutorStats(&metrics, "executor", executor);
+    executor_metrics[round] = metrics.ToJson();
   }
   for (uint32_t s = 0; s < kShards; ++s) {
     EXPECT_EQ(clocks[0][s], clocks[1][s]) << "shard " << s;
   }
+  EXPECT_EQ(executor_metrics[0], executor_metrics[1]);
 }
 
-TEST(UpdateDriverPipelinedTest, MatchesRunBatchedPerShardClocks) {
-  // Continuous credit-gated submission must leave every chip's device state
-  // exactly where the sequential batched replay leaves it -- for shallow and
-  // deep in-flight windows alike, on a skewed pid distribution.
-  auto spec = methods::ParseMethodSpec("PDL(256B)");
-  ASSERT_TRUE(spec.ok());
-  constexpr uint32_t kShards = 4;
-  WorkloadParams params;
-  params.verify = true;
-  params.pct_update_ops = 75.0;
-  params.hot_shard_pct = 50.0;  // shard 0 is the deliberate hotspot
-
-  auto prepare = [&](std::unique_ptr<ftl::ShardedStore>* store,
-                     std::unique_ptr<UpdateDriver>* driver) {
-    *store = methods::CreateShardedStore(FlashConfig::Small(8), kShards,
-                                         *spec);
-    *driver = std::make_unique<UpdateDriver>(store->get(), params);
-    ASSERT_TRUE((*driver)->LoadDatabase(150).ok());
-  };
-
-  for (uint32_t depth : {1u, 2u, 8u}) {
-    std::unique_ptr<ftl::ShardedStore> store_seq, store_pipe;
-    std::unique_ptr<UpdateDriver> driver_seq, driver_pipe;
-    prepare(&store_seq, &driver_seq);
-    prepare(&store_pipe, &driver_pipe);
-
-    Schedule schedule_seq = driver_seq->MakeSchedule(800);
-    Schedule schedule_pipe = driver_pipe->MakeSchedule(800);
-
-    RunStats stats_seq, stats_pipe;
-    ASSERT_TRUE(driver_seq->RunBatched(schedule_seq, 8, &stats_seq).ok());
-    // Ring capacity == depth: credits, not blocking pushes, are the
-    // backpressure.
-    ftl::ShardExecutor executor(kShards, depth);
-    ASSERT_TRUE(driver_pipe
-                    ->RunPipelined(schedule_pipe, 8, depth, &executor,
-                                   &stats_pipe)
-                    .ok());
-
-    for (uint32_t s = 0; s < kShards; ++s) {
-      EXPECT_EQ(store_seq->shard_device(s)->clock().now_us(),
-                store_pipe->shard_device(s)->clock().now_us())
-          << "depth " << depth << " shard " << s;
-    }
-    EXPECT_EQ(stats_seq.read_step.total_us(),
-              stats_pipe.read_step.total_us());
-    EXPECT_EQ(stats_seq.write_step.total_us(),
-              stats_pipe.write_step.total_us());
-    EXPECT_EQ(stats_seq.gc.total_us(), stats_pipe.gc.total_us());
-    EXPECT_EQ(stats_seq.erases, stats_pipe.erases);
-    EXPECT_EQ(stats_pipe.operations, 800u);
-
-    ByteBuffer a(store_seq->device()->geometry().data_size);
-    ByteBuffer b(a.size());
-    for (PageId pid = 0; pid < 150; ++pid) {
-      ASSERT_TRUE(store_seq->ReadPage(pid, a).ok());
-      ASSERT_TRUE(store_pipe->ReadPage(pid, b).ok());
-      EXPECT_TRUE(BytesEqual(a, b)) << "pid " << pid;
-    }
-  }
-}
-
-TEST(UpdateDriverPipelinedTest, HotShardSkewLandsOnShardZero) {
+TEST(UpdateDriverExecuteTest, HotShardSkewLandsOnShardZero) {
   auto spec = methods::ParseMethodSpec("OPU");
   ASSERT_TRUE(spec.ok());
   constexpr uint32_t kShards = 4;
@@ -381,7 +363,7 @@ TEST(UpdateDriverPipelinedTest, HotShardSkewLandsOnShardZero) {
   // the per-shard progress counters: shard 0's clock and write count pull
   // ahead of every sibling, and the clock spread is exactly shard_lag_us.
   RunStats stats;
-  ASSERT_TRUE(driver.RunBatched(schedule, 8, &stats).ok());
+  ASSERT_TRUE(driver.Execute(schedule, 8, 0, nullptr, &stats).ok());
   std::vector<ftl::ShardedStore::ShardProgress> progress =
       store->shard_progress();
   ASSERT_EQ(progress.size(), kShards);
@@ -396,7 +378,7 @@ TEST(UpdateDriverPipelinedTest, HotShardSkewLandsOnShardZero) {
   EXPECT_EQ(store->shard_lag_us(), max_clock - min_clock);
 }
 
-TEST(UpdateDriverPipelinedTest, ZeroSkewKeepsUniformDrawIdentical) {
+TEST(UpdateDriverExecuteTest, ZeroSkewKeepsUniformDrawIdentical) {
   // hot_shard_pct = 0 must not change the RNG stream: schedules drawn with
   // and without the field present are bit-identical.
   auto spec = methods::ParseMethodSpec("OPU");
@@ -418,7 +400,7 @@ TEST(UpdateDriverPipelinedTest, ZeroSkewKeepsUniformDrawIdentical) {
   }
 }
 
-TEST(UpdateDriverPipelinedTest, RejectsBadArguments) {
+TEST(UpdateDriverExecuteTest, RejectsBadArguments) {
   auto spec = methods::ParseMethodSpec("OPU");
   ASSERT_TRUE(spec.ok());
   auto sharded =
@@ -429,50 +411,28 @@ TEST(UpdateDriverPipelinedTest, RejectsBadArguments) {
   Schedule schedule = driver.MakeSchedule(10);
   ftl::ShardExecutor executor(4);
   RunStats stats;
-  EXPECT_TRUE(driver.RunPipelined(schedule, 0, 2, &executor, &stats)
-                  .IsInvalidArgument());  // batch_size 0
-  EXPECT_TRUE(driver.RunPipelined(schedule, 4, 0, &executor, &stats)
-                  .IsInvalidArgument());  // max_inflight 0
-  EXPECT_TRUE(driver.RunPipelined(schedule, 4, 2, nullptr, &stats)
-                  .IsInvalidArgument());  // no executor
+  EXPECT_TRUE(driver.Execute(schedule, 0, 2, &executor, &stats)
+                  .IsInvalidArgument());  // batch 0, threaded
+  EXPECT_TRUE(driver.Execute(schedule, 0, 0, nullptr, &stats)
+                  .IsInvalidArgument());  // batch 0, inline
+  EXPECT_TRUE(driver.Execute(schedule, 4, 0, &executor, &stats)
+                  .IsInvalidArgument());  // depth 0 with an executor
   ftl::ShardExecutor short_executor(2);
-  EXPECT_TRUE(driver.RunPipelined(schedule, 4, 2, &short_executor, &stats)
+  EXPECT_TRUE(driver.Execute(schedule, 4, 2, &short_executor, &stats)
                   .IsInvalidArgument());  // 2 workers < 4 shards
+  EXPECT_EQ(stats.operations, 0u);  // nothing ran
+  // Inline ignores depth.
+  EXPECT_TRUE(driver.Execute(schedule, 4, 0, nullptr, &stats).ok());
 
-  // A flat store is pipelineable (single-worker mode): it only rejects a
-  // missing executor, never the store itself.
+  // A flat store runs threaded too (one stream on worker 0), and inline.
   FlashDevice dev(FlashConfig::Small(8));
   auto flat = MakeStore(&dev, "OPU");
   UpdateDriver flat_driver(flat.get(), params);
   ASSERT_TRUE(flat_driver.LoadDatabase(50).ok());
   Schedule s2 = flat_driver.MakeSchedule(10);
-  EXPECT_TRUE(flat_driver.RunPipelined(s2, 4, 2, nullptr, &stats)
-                  .IsInvalidArgument());  // no executor
-  EXPECT_TRUE(flat_driver.RunPipelined(s2, 4, 2, &executor, &stats).ok());
-}
-
-TEST(UpdateDriverParallelTest, RejectsFlatStoreAndShortExecutor) {
-  FlashDevice dev(FlashConfig::Small(8));
-  auto store = MakeStore(&dev, "OPU");
-  WorkloadParams params;
-  UpdateDriver driver(store.get(), params);
-  ASSERT_TRUE(driver.LoadDatabase(50).ok());
-  Schedule schedule = driver.MakeSchedule(10);
-  ftl::ShardExecutor executor(1);
-  RunStats stats;
-  EXPECT_TRUE(driver.RunParallel(schedule, 4, &executor, &stats)
-                  .IsInvalidArgument());
-
-  auto spec = methods::ParseMethodSpec("OPU");
-  auto sharded =
-      methods::CreateShardedStore(FlashConfig::Small(8), 4, *spec);
-  UpdateDriver sharded_driver(sharded.get(), params);
-  ASSERT_TRUE(sharded_driver.LoadDatabase(50).ok());
-  Schedule s2 = sharded_driver.MakeSchedule(10);
-  EXPECT_TRUE(sharded_driver.RunParallel(s2, 4, &executor, &stats)
-                  .IsInvalidArgument());  // 1 worker < 4 shards
-  EXPECT_TRUE(sharded_driver.RunParallel(s2, 0, nullptr, &stats)
-                  .IsInvalidArgument());  // batch_size 0
+  ftl::ShardExecutor one_worker(1);
+  EXPECT_TRUE(flat_driver.Execute(s2, 4, 2, &one_worker, &stats).ok());
+  EXPECT_TRUE(flat_driver.Execute(s2, 4, 0, nullptr, &stats).ok());
 }
 
 }  // namespace
