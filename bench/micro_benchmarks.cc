@@ -1,11 +1,14 @@
 // Google-benchmark microbenchmarks for the hot CPU paths: differential
 // computation/merge, spare codec, CRC (dispatched and portable), the flash
-// emulator's cell programming, and the full PDL read/write paths. These
+// emulator's cell programming, the full PDL read/write paths and the buffer
+// pool's hit and miss paths. These
 // measure *host CPU* cost (the emulator's virtual-time model is separate);
 // they exist to show the differential computation overhead the paper calls
 // "relatively minor".
 
 #include <benchmark/benchmark.h>
+
+#include <cstring>
 
 #include "common/crc32.h"
 #include "common/random.h"
@@ -14,6 +17,7 @@
 #include "methods/opu_store.h"
 #include "pdl/differential.h"
 #include "pdl/pdl_store.h"
+#include "storage/buffer_pool.h"
 
 using namespace flashdb;
 
@@ -243,6 +247,76 @@ void BM_OpuWriteBack(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OpuWriteBack);
+
+// Buffer pool over OPU: 1024 logical pages, 128 frames.
+constexpr uint32_t kPoolPages = 1024;
+constexpr uint32_t kPoolFrames = 128;
+
+// ReadPage hits: every pid drawn is resident.
+void BM_BufferPoolReadHit(benchmark::State& state) {
+  flash::FlashDevice dev(flash::FlashConfig::Small(64));
+  methods::OpuStore store(&dev);
+  (void)store.Format(kPoolPages, nullptr, nullptr);
+  storage::BufferPool pool(&store, kPoolFrames);
+  uint64_t sum = 0;
+  auto read = [&](ConstBytes p) {
+    sum += p[sum % p.size()];
+    return Status::OK();
+  };
+  for (PageId pid = 0; pid < kPoolFrames; ++pid) (void)pool.ReadPage(pid, read);
+  Random r(7);
+  for (auto _ : state) {
+    const PageId pid = static_cast<PageId>(r.Uniform(kPoolFrames));
+    benchmark::DoNotOptimize(pool.ReadPage(pid, read));
+  }
+  benchmark::DoNotOptimize(sum);
+}
+BENCHMARK(BM_BufferPoolReadHit);
+
+// WithPage hits changing 8 bytes: snapshot, diff, update log, OnUpdate.
+void BM_BufferPoolWithPage(benchmark::State& state) {
+  flash::FlashDevice dev(flash::FlashConfig::Small(64));
+  methods::OpuStore store(&dev);
+  (void)store.Format(kPoolPages, nullptr, nullptr);
+  storage::BufferPool pool(&store, kPoolFrames);
+  Random r(8);
+  for (PageId pid = 0; pid < kPoolFrames; ++pid) {
+    (void)pool.ReadPage(pid, [](ConstBytes) { return Status::OK(); });
+  }
+  for (auto _ : state) {
+    const PageId pid = static_cast<PageId>(r.Uniform(kPoolFrames));
+    const uint64_t value = r.Next();
+    const size_t offset = r.Uniform(dev.geometry().data_size / 8) * 8;
+    benchmark::DoNotOptimize(pool.WithPage(pid, [&](MutBytes p) {
+      std::memcpy(p.data() + offset, &value, sizeof(value));
+      return Status::OK();
+    }));
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_BufferPoolWithPage);
+
+// A cyclic sweep over 8x more pages than frames: every ReadPage misses and
+// evicts the least recently used (clean) frame, then reads from flash.
+void BM_BufferPoolMissEvict(benchmark::State& state) {
+  flash::FlashDevice dev(flash::FlashConfig::Small(64));
+  methods::OpuStore store(&dev);
+  (void)store.Format(kPoolPages, nullptr, nullptr);
+  storage::BufferPool pool(&store, kPoolFrames);
+  uint64_t sum = 0;
+  auto read = [&](ConstBytes p) {
+    sum += p[0];
+    return Status::OK();
+  };
+  PageId pid = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pool.ReadPage(pid, read));
+    pid = (pid + 1) % kPoolPages;
+  }
+  benchmark::DoNotOptimize(sum);
+  state.counters["hit_rate"] = pool.stats().hit_rate();
+}
+BENCHMARK(BM_BufferPoolMissEvict);
 
 }  // namespace
 

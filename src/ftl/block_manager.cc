@@ -12,7 +12,9 @@ BlockManager::BlockManager(flash::FlashDevice* dev, uint32_t gc_reserve_blocks,
     : dev_(dev),
       gc_reserve_blocks_(gc_reserve_blocks),
       num_streams_(num_streams == 0 ? 1 : num_streams),
-      num_planes_(dev->geometry().planes_per_chip()) {
+      num_planes_(dev->geometry().planes_per_chip()),
+      obsolete_mark_(dev->geometry().spare_size) {
+  EncodeObsoleteMark(obsolete_mark_);
   pages_per_block_ = dev_->geometry().pages_per_block;
   open_block_.assign(static_cast<size_t>(num_streams_) * num_planes_, -1);
   next_page_.assign(static_cast<size_t>(num_streams_) * num_planes_, 0);
@@ -161,9 +163,7 @@ Status BlockManager::MarkObsolete(flash::PhysAddr addr) {
     return Status::InvalidArgument("MarkObsolete on non-valid page " +
                                    std::to_string(addr));
   }
-  ByteBuffer spare(dev_->geometry().spare_size, 0xFF);
-  EncodeObsoleteMark(spare);
-  FLASHDB_RETURN_IF_ERROR(dev_->ProgramSpare(addr, spare));
+  FLASHDB_RETURN_IF_ERROR(dev_->ProgramSpare(addr, obsolete_mark_));
   page_state_[addr] = PageState::kObsolete;
   block_obsolete_[dev_->BlockOf(addr)]++;
   return Status::OK();

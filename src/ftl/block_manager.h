@@ -195,6 +195,8 @@ class BlockManager {
   std::vector<uint32_t> plane_cursor_;
   std::vector<uint8_t> bad_block_;        ///< 1 = excluded from service.
   uint32_t num_bad_blocks_ = 0;
+  /// The spare image MarkObsolete programs; constant, so encoded once.
+  ByteBuffer obsolete_mark_;
 };
 
 /// Reads page 0's spare of every data block (charged reads) and returns the

@@ -77,10 +77,10 @@ Status ShardExecutor::SubmitWithCallback(
 void ShardExecutor::WakeIfSleeping(Worker* w) {
   // Dekker-style handshake with the worker's park sequence: the producer
   // pushes then checks `sleeping`; the worker sets `sleeping` then checks the
-  // queue. The seq_cst fences (here and in WorkerLoop) make it impossible for
-  // both to read the stale value, which is exactly the lost-wakeup case.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (w->sleeping.load(std::memory_order_relaxed)) {
+  // queue. ParkAnnounced (here) and the exchange in WorkerLoop make it
+  // impossible for both to read the stale value, which is exactly the
+  // lost-wakeup case.
+  if (ParkAnnounced(w->sleeping)) {
     // Taking the lock serializes with the park: the worker either has not
     // parked yet (its predicate re-check sees the pushed task) or is parked
     // and receives this notify.
@@ -110,9 +110,8 @@ void ShardExecutor::RunTask(Worker* w, Task* task) {
     }
   }
   w->completed.fetch_add(1, std::memory_order_release);
-  // Wake a producer parked in WaitUntil; see the fence there.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (producer_waiting_.load(std::memory_order_relaxed)) {
+  // Wake a producer parked in WaitUntil (same handshake as WakeIfSleeping).
+  if (ParkAnnounced(producer_waiting_)) {
     std::lock_guard<std::mutex> lock(producer_mutex_);
     producer_cv_.notify_one();
   }
@@ -163,11 +162,10 @@ void ShardExecutor::WorkerLoop(Worker* w, uint32_t index) {
       return;
     }
     std::unique_lock<std::mutex> lock(w->mutex);
-    w->sleeping.store(true, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    // The first predicate evaluation runs after the fence: any task pushed
-    // before the producer's fence is visible here, so the worker never parks
-    // over a nonempty ring.
+    w->sleeping.exchange(true, std::memory_order_seq_cst);
+    // The first predicate evaluation runs after the exchange: any task pushed
+    // before a producer's ParkAnnounced that read `false` is visible here, so
+    // the worker never parks over a nonempty ring.
     w->cv.wait(lock, [&] {
       return !w->queue.Empty() || stop_.load(std::memory_order_acquire);
     });

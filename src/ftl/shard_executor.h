@@ -194,11 +194,10 @@ class ShardExecutor {
     }
     if (!done) {
       std::unique_lock<std::mutex> lock(producer_mutex_);
-      producer_waiting_.store(true, std::memory_order_relaxed);
-      // Pairs with the fence in RunTask (same Dekker handshake as
+      // Pairs with ParkAnnounced in RunTask (same Dekker handshake as
       // WakeIfSleeping): either this predicate check sees the worker's
       // completion or the worker sees producer_waiting_ and notifies.
-      std::atomic_thread_fence(std::memory_order_seq_cst);
+      producer_waiting_.exchange(true, std::memory_order_seq_cst);
       producer_cv_.wait(lock, ready);
       producer_waiting_.store(false, std::memory_order_relaxed);
     }
@@ -242,6 +241,19 @@ class ShardExecutor {
     std::condition_variable cv;
     std::thread thread;
   };
+
+  /// Notifier half of the Dekker park handshake: reads a park flag through a
+  /// seq_cst read-modify-write that leaves it unchanged. The parker sets the
+  /// flag with a seq_cst exchange, so the two land in the flag's
+  /// modification order: either this reads the parker's `true`, or the
+  /// parker's exchange reads this write and acquires everything the notifier
+  /// did before it (the push, or the `completed` increment). A plain load
+  /// would need a standalone fence, which ThreadSanitizer cannot model.
+  static bool ParkAnnounced(std::atomic<bool>& flag) {
+    bool expected = false;
+    return !flag.compare_exchange_strong(expected, false,
+                                         std::memory_order_seq_cst);
+  }
 
   void WorkerLoop(Worker* w, uint32_t index);
   void RunTask(Worker* w, Task* task);

@@ -19,7 +19,8 @@ OpuStore::OpuStore(flash::FlashDevice* dev, const OpuConfig& config)
       bm_(dev, std::min(config.gc_reserve_blocks,
                         std::max(2u, dev->geometry().num_data_blocks() / 8))),
       map_(/*track_diffs=*/false),
-      gc_policy_(ftl::MakeGcPolicy(config.gc_policy)) {}
+      gc_policy_(ftl::MakeGcPolicy(config.gc_policy)),
+      spare_scratch_(spare_size_) {}
 
 Status OpuStore::Format(uint32_t num_logical_pages, PageInitializer initial,
                         void* initial_arg) {
@@ -89,9 +90,10 @@ Status OpuStore::WriteBack(PageId pid, ConstBytes page) {
   // old copy obsolete (crash between the two leaves duplicates, arbitrated by
   // timestamp during recovery).
   FLASHDB_ASSIGN_OR_RETURN(PhysAddr q, AllocatePage(false));
-  ByteBuffer spare(spare_size_, 0xFF);
-  ftl::EncodeSpare(spare, ftl::PageType::kData, pid, clock_.Next(), page);
-  FLASHDB_RETURN_IF_ERROR(dev_->ProgramPage(q, page, spare));
+  std::fill(spare_scratch_.begin(), spare_scratch_.end(), 0xFF);
+  ftl::EncodeSpare(spare_scratch_, ftl::PageType::kData, pid, clock_.Next(),
+                   page);
+  FLASHDB_RETURN_IF_ERROR(dev_->ProgramPage(q, page, spare_scratch_));
   const PhysAddr old = map_.base(pid);  // resolve after GC may have moved it
   FLASHDB_RETURN_IF_ERROR(bm_.MarkObsolete(old));
   map_.SetBase(pid, q);
@@ -151,6 +153,7 @@ Status OpuStore::RunGcOnce() {
   const uint32_t ppb = dev_->geometry().pages_per_block;
   ByteBuffer data(data_size_);
   ByteBuffer spare(spare_size_);
+  ByteBuffer new_spare(spare_size_);
   for (uint32_t block : victims) {
     for (uint32_t p = 0; p < ppb; ++p) {
       const PhysAddr addr = dev_->AddrOf(block, p);
@@ -164,7 +167,7 @@ Status OpuStore::RunGcOnce() {
       // Corrupt live data must not be relocated as if it were good.
       FLASHDB_RETURN_IF_ERROR(ftl::VerifyPageRead(info, data, addr));
       FLASHDB_ASSIGN_OR_RETURN(PhysAddr q, bm_.AllocatePage(true));
-      ByteBuffer new_spare(spare_size_, 0xFF);
+      std::fill(new_spare.begin(), new_spare.end(), 0xFF);
       ftl::EncodeSpare(new_spare, ftl::PageType::kData, info.pid,
                        info.timestamp, data);
       FLASHDB_RETURN_IF_ERROR(dev_->ProgramPage(q, data, new_spare));

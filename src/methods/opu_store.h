@@ -76,6 +76,9 @@ class OpuStore : public PageStore {
   bool formatted_ = false;
   /// Journaled bad-block list to re-apply at the next Recover().
   std::vector<uint32_t> pending_bad_;
+  /// WriteBack's spare image, reused (the store is thread-confined like its
+  /// device).
+  ByteBuffer spare_scratch_;
 };
 
 }  // namespace flashdb::methods

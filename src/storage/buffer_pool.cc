@@ -1,9 +1,9 @@
 #include "storage/buffer_pool.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <string>
 
 #include "flash/flash_device.h"
 #include "obs/trace_recorder.h"
@@ -43,44 +43,63 @@ BufferPool::BufferPool(PageStore* store, uint32_t num_frames)
   }
 }
 
-Result<uint32_t> BufferPool::Evict() {
-  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-    Frame& f = frames_[*it];
-    if (f.pins != 0) continue;
-    const uint32_t idx = *it;
-    flash::FlashDevice* dev = store_->device();
-    const bool was_dirty = f.dirty;
-    const uint64_t start = dev->clock().now_us();
-    if (f.dirty) {
-      FLASHDB_RETURN_IF_ERROR(store_->WriteBack(f.pid, f.data));
-      stats_.dirty_writebacks++;
-      f.dirty = false;
-    }
-    if (dev->trace() != nullptr) {
-      dev->trace()->Emit(obs::TraceCat::kBufEvict, start,
-                         dev->clock().now_us() - start, f.pid,
-                         was_dirty ? 1 : 0);
-    }
-    lru_.erase(it);
-    f.in_lru = false;
-    table_.erase(f.pid);
-    stats_.evictions++;
-    return idx;
+void BufferPool::LruAppend(uint32_t idx) {
+  Frame& f = frames_[idx];
+  f.lru_prev = lru_tail_;
+  f.lru_next = kNoFrame;
+  if (lru_tail_ != kNoFrame) {
+    frames_[lru_tail_].lru_next = idx;
+  } else {
+    lru_head_ = idx;
   }
-  return Status::Busy("all buffer frames are pinned");
+  lru_tail_ = idx;
+}
+
+void BufferPool::LruRemove(uint32_t idx) {
+  Frame& f = frames_[idx];
+  if (f.lru_prev != kNoFrame) {
+    frames_[f.lru_prev].lru_next = f.lru_next;
+  } else {
+    lru_head_ = f.lru_next;
+  }
+  if (f.lru_next != kNoFrame) {
+    frames_[f.lru_next].lru_prev = f.lru_prev;
+  } else {
+    lru_tail_ = f.lru_prev;
+  }
+}
+
+Result<uint32_t> BufferPool::Evict() {
+  // Every frame on the list is unpinned, so the head is the victim.
+  const uint32_t idx = lru_head_;
+  if (idx == kNoFrame) return Status::Busy("all buffer frames are pinned");
+  Frame& f = frames_[idx];
+  flash::FlashDevice* dev = store_->device();
+  const bool was_dirty = f.dirty;
+  const uint64_t start = dev->clock().now_us();
+  if (f.dirty) {
+    FLASHDB_RETURN_IF_ERROR(store_->WriteBack(f.pid, f.data));
+    stats_.dirty_writebacks++;
+    f.dirty = false;
+  }
+  if (dev->trace() != nullptr) {
+    dev->trace()->Emit(obs::TraceCat::kBufEvict, start,
+                       dev->clock().now_us() - start, f.pid,
+                       was_dirty ? 1 : 0);
+  }
+  LruRemove(idx);
+  table_[f.pid] = kNoFrame;
+  stats_.evictions++;
+  return idx;
 }
 
 Result<uint32_t> BufferPool::Pin(PageId pid) {
-  auto it = table_.find(pid);
-  if (it != table_.end()) {
+  const uint32_t hit = Lookup(pid);
+  if (hit != kNoFrame) {
     stats_.hits++;
-    Frame& f = frames_[it->second];
-    if (f.in_lru) {
-      lru_.erase(f.lru_pos);
-      f.in_lru = false;
-    }
-    f.pins++;
-    return it->second;
+    Frame& f = frames_[hit];
+    if (f.pins++ == 0) LruRemove(hit);
+    return hit;
   }
   stats_.misses++;
   uint32_t idx;
@@ -106,23 +125,21 @@ Result<uint32_t> BufferPool::Pin(PageId pid) {
   f.pid = pid;
   f.dirty = false;
   f.pins = 1;
-  f.in_lru = false;
+  if (pid >= table_.size()) {
+    // One allocation for the whole store: the store's page count is only
+    // known once it is formatted, which may be after the pool is built.
+    table_.resize(std::max<size_t>(pid + 1, store_->num_logical_pages()),
+                  kNoFrame);
+  }
   table_[pid] = idx;
   return idx;
 }
 
 void BufferPool::Unpin(uint32_t frame_idx) {
-  Frame& f = frames_[frame_idx];
-  if (f.pins > 0) f.pins--;
-  if (f.pins == 0 && !f.in_lru) {
-    lru_.push_back(frame_idx);
-    f.lru_pos = std::prev(lru_.end());
-    f.in_lru = true;
-  }
+  if (--frames_[frame_idx].pins == 0) LruAppend(frame_idx);
 }
 
-Status BufferPool::ReadPage(PageId pid,
-                            const std::function<Status(ConstBytes)>& fn) {
+Status BufferPool::ReadPage(PageId pid, FunctionRef<Status(ConstBytes)> fn) {
   ConfinementScope confined(this);
   FLASHDB_ASSIGN_OR_RETURN(uint32_t idx, Pin(pid));
   Status st = fn(frames_[idx].data);
@@ -130,8 +147,7 @@ Status BufferPool::ReadPage(PageId pid,
   return st;
 }
 
-Status BufferPool::WithPage(PageId pid,
-                            const std::function<Status(MutBytes)>& fn) {
+Status BufferPool::WithPage(PageId pid, FunctionRef<Status(MutBytes)> fn) {
   ConfinementScope confined(this);
   FLASHDB_ASSIGN_OR_RETURN(uint32_t idx, Pin(pid));
   Frame& f = frames_[idx];
@@ -140,41 +156,37 @@ Status BufferPool::WithPage(PageId pid,
   // nested call must not overwrite this call's pre-image. Index the scratch
   // list afresh after `fn` returns -- a nested call may have grown it and
   // moved the buffers.
-  const size_t snap_idx = depth_ - 1;
-  if (snapshots_.size() <= snap_idx) snapshots_.resize(snap_idx + 1);
-  if (snapshots_[snap_idx].size() != data_size_) {
-    snapshots_[snap_idx].resize(data_size_);
+  const size_t depth = depth_ - 1;
+  if (scratch_.size() <= depth) scratch_.resize(depth + 1);
+  if (scratch_[depth].snapshot.size() != data_size_) {
+    scratch_[depth].snapshot.resize(data_size_);
   }
-  std::memcpy(snapshots_[snap_idx].data(), f.data.data(), data_size_);
+  std::memcpy(scratch_[depth].snapshot.data(), f.data.data(), data_size_);
   Status st = fn(f.data);
-  const ByteBuffer& snapshot = snapshots_[snap_idx];
-  if (!st.ok()) {
-    // Roll the frame back so a failed mutation leaves no trace.
-    std::memcpy(f.data.data(), snapshot.data(), data_size_);
-    Unpin(idx);
-    return st;
+  DepthScratch& scratch = scratch_[depth];
+  const uint8_t* before = scratch.snapshot.data();
+  if (st.ok()) {
+    // Minimal changed range -> update log for tightly-coupled methods.
+    const size_t lo = FirstMismatch(before, f.data.data(), 0, data_size_);
+    if (lo < data_size_) {
+      const size_t hi = LastMismatch(before, f.data.data(), lo, data_size_);
+      scratch.log.offset = static_cast<uint32_t>(lo);
+      scratch.log.data.assign(f.data.begin() + lo, f.data.begin() + hi);
+      st = store_->OnUpdate(pid, f.data, scratch.log);
+      if (st.ok()) f.dirty = true;
+    }
   }
-  // Minimal changed range -> update log for tightly-coupled methods.
-  const size_t lo =
-      FirstMismatch(snapshot.data(), f.data.data(), 0, data_size_);
-  if (lo < data_size_) {
-    const size_t hi =
-        LastMismatch(snapshot.data(), f.data.data(), lo, data_size_);
-    UpdateLog log;
-    log.offset = static_cast<uint32_t>(lo);
-    log.data.assign(f.data.begin() + lo, f.data.begin() + hi);
-    st = store_->OnUpdate(pid, f.data, log);
-    f.dirty = true;
-  }
+  // Roll the frame back so a failed mutation leaves no trace.
+  if (!st.ok()) std::memcpy(f.data.data(), before, data_size_);
   Unpin(idx);
   return st;
 }
 
 Status BufferPool::FlushPage(PageId pid) {
   ConfinementScope confined(this);
-  auto it = table_.find(pid);
-  if (it == table_.end()) return Status::OK();
-  Frame& f = frames_[it->second];
+  const uint32_t idx = Lookup(pid);
+  if (idx == kNoFrame) return Status::OK();
+  Frame& f = frames_[idx];
   if (f.dirty) {
     FLASHDB_RETURN_IF_ERROR(store_->WriteBack(f.pid, f.data));
     stats_.dirty_writebacks++;
@@ -185,24 +197,23 @@ Status BufferPool::FlushPage(PageId pid) {
 
 Status BufferPool::FlushAll() {
   ConfinementScope confined(this);
-  // Collect every dirty resident frame (frame-index order, so the batch is
-  // deterministic), then hand the store one WriteBatch -- over a
-  // ShardedStore this partitions per shard instead of ping-ponging chips.
-  std::vector<PageWrite> writes;
-  std::vector<uint32_t> dirty_idx;
-  for (uint32_t i = 0; i < num_frames_; ++i) {
-    Frame& f = frames_[i];
-    if (!f.dirty || table_.count(f.pid) == 0) continue;
+  // Collect every dirty frame (only resident frames are ever dirty) in
+  // frame-index order, so the batch is deterministic, then hand the store
+  // one WriteBatch -- over a ShardedStore this partitions per shard instead
+  // of ping-ponging chips.
+  flush_batch_.clear();
+  for (const Frame& f : frames_) {
+    if (!f.dirty) continue;
     if (f.pins != 0) {
       return Status::Busy("dirty frame pinned during FlushAll");
     }
-    writes.push_back(PageWrite{f.pid, ConstBytes(f.data.data(), data_size_)});
-    dirty_idx.push_back(i);
+    flush_batch_.push_back(
+        PageWrite{f.pid, ConstBytes(f.data.data(), data_size_)});
   }
-  if (!writes.empty()) {
-    FLASHDB_RETURN_IF_ERROR(store_->WriteBatch(writes));
-    stats_.dirty_writebacks += writes.size();
-    for (uint32_t i : dirty_idx) frames_[i].dirty = false;
+  if (!flush_batch_.empty()) {
+    FLASHDB_RETURN_IF_ERROR(store_->WriteBatch(flush_batch_));
+    stats_.dirty_writebacks += flush_batch_.size();
+    for (Frame& f : frames_) f.dirty = false;
   }
   return store_->Flush();
 }
@@ -213,12 +224,11 @@ Status BufferPool::Reset() {
     if (f.pins != 0) return Status::Busy("frame pinned during Reset");
   }
   FLASHDB_RETURN_IF_ERROR(FlushAll());
-  table_.clear();
-  lru_.clear();
+  std::fill(table_.begin(), table_.end(), kNoFrame);
+  lru_head_ = lru_tail_ = kNoFrame;
   free_frames_.clear();
   for (uint32_t i = 0; i < num_frames_; ++i) {
     frames_[i].dirty = false;
-    frames_[i].in_lru = false;
     free_frames_.push_back(num_frames_ - 1 - i);
   }
   return Status::OK();

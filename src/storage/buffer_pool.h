@@ -5,6 +5,9 @@
 // mutate it, and then reports the minimal changed byte range to the store via
 // OnUpdate -- this is the "storage management module" hook that tightly-
 // coupled methods (IPL) require, and that loosely-coupled methods ignore.
+// A hit allocates nothing: the page table is a dense pid-indexed array, the
+// LRU list is threaded through the frames, callbacks are non-owning
+// FunctionRefs and WithPage's snapshot and update log are reused scratch.
 // Dirty pages are reflected into flash with WriteBack when evicted, and in
 // one WriteBatch when flushed -- over a ShardedStore the batch is partitioned
 // per shard, exactly like a disk-based DBMS swapping pages out of its buffer.
@@ -14,12 +17,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <list>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
+#include "common/function_ref.h"
 #include "common/result.h"
 #include "ftl/page_store.h"
 
@@ -51,12 +52,14 @@ class BufferPool {
   BufferPool(PageStore* store, uint32_t num_frames);
 
   /// Runs `fn` with read access to page `pid` (pinned for the duration).
-  Status ReadPage(PageId pid, const std::function<Status(ConstBytes)>& fn);
+  Status ReadPage(PageId pid, FunctionRef<Status(ConstBytes)> fn);
 
   /// Runs `fn` with write access to page `pid`. After `fn` returns OK the
-  /// minimal changed byte range is reported to the store (OnUpdate) and the
-  /// frame is marked dirty.
-  Status WithPage(PageId pid, const std::function<Status(MutBytes)>& fn);
+  /// minimal changed byte range is reported to the store (OnUpdate) and, once
+  /// the store accepts it, the frame is marked dirty. A failed mutation --
+  /// `fn` or OnUpdate returning non-OK -- leaves no trace: the frame is
+  /// rolled back to its pre-image and its dirty bit is left as it was.
+  Status WithPage(PageId pid, FunctionRef<Status(MutBytes)> fn);
 
   /// Writes back every dirty frame in one store WriteBatch (partitioned per
   /// shard over a ShardedStore) and flushes the store. Returns Busy -- with
@@ -80,13 +83,23 @@ class BufferPool {
   flash::WearSummary device_wear() { return store_->wear(); }
 
  private:
+  /// Sentinel frame index: "no frame" in the page table and the LRU links.
+  static constexpr uint32_t kNoFrame = UINT32_MAX;
+
+  /// A resident frame is on the LRU list exactly when it has no pins.
   struct Frame {
     PageId pid = 0;
     bool dirty = false;
     uint32_t pins = 0;
+    uint32_t lru_prev = kNoFrame;  ///< Towards the least recently used end.
+    uint32_t lru_next = kNoFrame;  ///< Towards the most recently used end.
     ByteBuffer data;
-    std::list<uint32_t>::iterator lru_pos;  ///< Valid when pins == 0.
-    bool in_lru = false;
+  };
+
+  /// WithPage scratch for one reentrancy depth.
+  struct DepthScratch {
+    ByteBuffer snapshot;  ///< Pre-image of the frame `fn` mutates.
+    UpdateLog log;        ///< Changed range reported to OnUpdate.
   };
 
   /// RAII confinement guard taken by every public entry point: first entry
@@ -110,18 +123,31 @@ class BufferPool {
   void Unpin(uint32_t frame_idx);
   /// Finds a victim frame (LRU, unpinned), writing it back when dirty.
   Result<uint32_t> Evict();
+  /// Frame holding `pid`, or kNoFrame.
+  uint32_t Lookup(PageId pid) const {
+    return pid < table_.size() ? table_[pid] : kNoFrame;
+  }
+  /// Appends frame `idx` at the most recently used end.
+  void LruAppend(uint32_t idx);
+  /// Unlinks frame `idx` from the LRU list.
+  void LruRemove(uint32_t idx);
 
   PageStore* store_;
   uint32_t num_frames_;
   uint32_t data_size_;
   std::vector<Frame> frames_;
   std::vector<uint32_t> free_frames_;
-  std::unordered_map<PageId, uint32_t> table_;  ///< pid -> frame index.
-  std::list<uint32_t> lru_;                     ///< Front = least recent.
+  /// pid -> frame index (kNoFrame if not resident). Pids are dense, so this
+  /// is a plain array, grown on demand up to the store's page count.
+  std::vector<uint32_t> table_;
+  uint32_t lru_head_ = kNoFrame;  ///< Least recently used unpinned frame.
+  uint32_t lru_tail_ = kNoFrame;  ///< Most recently used unpinned frame.
   BufferPoolStats stats_;
-  /// WithPage diff scratch, one buffer per reentrancy depth: a nested
-  /// WithPage (B-tree split) must not clobber the outer call's snapshot.
-  std::vector<ByteBuffer> snapshots_;
+  /// WithPage scratch, one entry per reentrancy depth: a nested WithPage
+  /// (B-tree split) must not clobber the outer call's snapshot.
+  std::vector<DepthScratch> scratch_;
+  /// FlushAll's batch, reused across calls.
+  std::vector<PageWrite> flush_batch_;
   std::atomic<std::thread::id> owner_{};  ///< Claiming thread; empty if none.
   uint32_t depth_ = 0;  ///< Reentrancy depth; touched only by the owner.
 };

@@ -203,7 +203,7 @@ Status TpccWorkload::InsertRow(Table& t, uint64_t key, ConstBytes row) {
 }
 
 Status TpccWorkload::UpdateRow(Table& t, uint64_t key, ByteBuffer* row,
-                               const std::function<void(ByteBuffer*)>& mutate) {
+                               FunctionRef<void(ByteBuffer*)> mutate) {
   FLASHDB_ASSIGN_OR_RETURN(uint64_t enc, t.index->Get(key));
   const Rid rid = Rid::Decode(enc);
   FLASHDB_RETURN_IF_ERROR(t.heap->Get(rid, row));
@@ -416,12 +416,11 @@ Status TpccWorkload::OrderStatusAt(uint32_t w) {
   const uint32_t lo = next > 20 ? next - 20 : 1;
   const uint32_t o = static_cast<uint32_t>(rng_.Range(lo, next - 1));
   FLASHDB_RETURN_IF_ERROR(GetRow(order_, OKey(w, d, o), &row));
-  // Read the order's lines via an index range scan.
+  // Read the order's lines via an index range scan (into `row`, whose
+  // capacity every line reuses).
   FLASHDB_RETURN_IF_ERROR(order_line_.index->Scan(
-      OlKey(w, d, o, 0), OlKey(w, d, o, 255),
-      [&](uint64_t, uint64_t enc) {
-        ByteBuffer line;
-        return order_line_.heap->Get(Rid::Decode(enc), &line);
+      OlKey(w, d, o, 0), OlKey(w, d, o, 255), [&](uint64_t, uint64_t enc) {
+        return order_line_.heap->Get(Rid::Decode(enc), &row);
       }));
   stats_.order_status++;
   return Status::OK();
@@ -487,10 +486,9 @@ Status TpccWorkload::StockLevelAt(uint32_t w) {
     FLASHDB_RETURN_IF_ERROR(order_line_.index->Scan(
         OlKey(w, d, o, 0), OlKey(w, d, o, 255),
         [&](uint64_t, uint64_t enc) {
-          ByteBuffer line;
           FLASHDB_RETURN_IF_ERROR(order_line_.heap->Get(Rid::Decode(enc),
-                                                        &line));
-          items.insert(DecodeFixed32(line.data()));
+                                                        &row));
+          items.insert(DecodeFixed32(row.data()));
           return Status::OK();
         }));
   }

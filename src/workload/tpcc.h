@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "common/function_ref.h"
 #include "common/random.h"
 #include "storage/btree.h"
 #include "storage/buffer_pool.h"
@@ -188,7 +189,7 @@ class TpccWorkload {
   uint32_t PickItem();
 
   Status UpdateRow(Table& t, uint64_t key, ByteBuffer* row,
-                   const std::function<void(ByteBuffer*)>& mutate);
+                   FunctionRef<void(ByteBuffer*)> mutate);
   Status GetRow(const Table& t, uint64_t key, ByteBuffer* row);
   Status InsertRow(Table& t, uint64_t key, ConstBytes row);
 

@@ -1,4 +1,5 @@
-// Unit tests for src/common: Status/Result, coding, CRC, Random, SimClock.
+// Unit tests for src/common: Status/Result, coding, CRC, Random, SimClock,
+// FunctionRef.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include "common/bytes.h"
 #include "common/coding.h"
 #include "common/crc32.h"
+#include "common/function_ref.h"
 #include "common/random.h"
 #include "common/result.h"
 #include "common/sim_clock.h"
@@ -322,6 +324,39 @@ TEST(BytesTest, EqualityAndHexDump) {
   EXPECT_FALSE(BytesEqual(a, c));
   EXPECT_EQ(HexDump(a), "dead");
   EXPECT_EQ(HexDump(a, 1), "de...");
+}
+
+// A callable that counts its calls in its own state.
+struct CallCounter {
+  int calls = 0;
+  int operator()(int x) { return x + ++calls; }
+};
+
+int CallTwice(FunctionRef<int(int)> fn) { return fn(10) + fn(20); }
+
+TEST(FunctionRefTest, CallsTheBoundObjectNotACopy) {
+  CallCounter counter;
+  EXPECT_EQ(CallTwice(counter), (10 + 1) + (20 + 2));
+  EXPECT_EQ(counter.calls, 2);  // state stayed in the caller's object
+  EXPECT_EQ(CallTwice(counter), (10 + 3) + (20 + 4));
+  EXPECT_EQ(counter.calls, 4);
+}
+
+TEST(FunctionRefTest, ForwardsArgumentsAndReturns) {
+  std::vector<int> seen;
+  auto push = [&](int x) { seen.push_back(x); };
+  FunctionRef<void(int)> ref = push;
+  ref(1);
+  ref(2);
+  EXPECT_EQ(seen, (std::vector<int>{1, 2}));
+  // A by-reference capture inside a temporary lambda lives until the end of
+  // the full expression, which covers the callee.
+  const int base = 5;
+  EXPECT_EQ(CallTwice([&](int x) { return x + base; }), 15 + 25);
+  // Binds const callables and rvalue-reference parameters too.
+  const auto twice = [](std::vector<int>&& v) { return v.size() * 2; };
+  FunctionRef<size_t(std::vector<int>&&)> size_ref = twice;
+  EXPECT_EQ(size_ref(std::vector<int>{1, 2, 3}), 6u);
 }
 
 }  // namespace
