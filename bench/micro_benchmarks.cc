@@ -1,8 +1,8 @@
 // Google-benchmark microbenchmarks for the hot CPU paths: differential
 // computation/merge, spare codec, CRC (dispatched and portable), the flash
-// emulator's cell programming, the full PDL read/write paths and the buffer
-// pool's hit and miss paths. These
-// measure *host CPU* cost (the emulator's virtual-time model is separate);
+// emulator's cell programming, erase and chip construction, the full PDL
+// read/write paths and the buffer pool's hit and miss paths. These measure
+// *host CPU* cost (the emulator's virtual-time model is separate);
 // they exist to show the differential computation overhead the paper calls
 // "relatively minor".
 
@@ -188,6 +188,28 @@ void BM_EmulatorProgramReadErase(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_EmulatorProgramReadErase);
+
+// Building (and dropping) one opu-tpcc chip: 805 blocks, 103 MiB of cells.
+void BM_EmulatorConstruct(benchmark::State& state) {
+  const flash::FlashConfig cfg = flash::FlashConfig::Small(805);
+  for (auto _ : state) {
+    flash::FlashDevice dev(cfg);
+    benchmark::DoNotOptimize(&dev);
+  }
+}
+BENCHMARK(BM_EmulatorConstruct)->Unit(benchmark::kMicrosecond);
+
+// One block erase, cycling over a 16-block chip.
+void BM_EmulatorEraseBlock(benchmark::State& state) {
+  const flash::FlashConfig cfg = flash::FlashConfig::Small(16);
+  flash::FlashDevice dev(cfg);
+  uint32_t block = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dev.EraseBlock(block));
+    block = (block + 1) % cfg.geometry.num_blocks;
+  }
+}
+BENCHMARK(BM_EmulatorEraseBlock);
 
 void BM_PdlWriteBack(benchmark::State& state) {
   flash::FlashDevice dev(flash::FlashConfig::Small(64));

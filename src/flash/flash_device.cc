@@ -1,5 +1,6 @@
 #include "flash/flash_device.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -40,7 +41,14 @@ FlashDevice::ConfinementScope::ConfinementScope(const FlashDevice* dev)
   }
 }
 
-FlashDevice::FlashDevice(const FlashConfig& config) : config_(config) {
+FlashDevice::FlashDevice(const FlashConfig& config)
+    : config_(config),
+      data_(static_cast<size_t>(config.geometry.total_pages()) *
+            config.geometry.data_size),
+      spare_(static_cast<size_t>(config.geometry.total_pages()) *
+             config.geometry.spare_size),
+      erased_(std::max(config.geometry.data_size, config.geometry.spare_size),
+              0xFF) {
   const auto& g = config_.geometry;
   if (g.meta_blocks >= g.num_blocks) {
     std::fprintf(stderr,
@@ -61,8 +69,15 @@ FlashDevice::FlashDevice(const FlashConfig& config) : config_(config) {
                  g.meta_blocks, g.planes_per_chip());
     std::abort();
   }
-  data_.assign(static_cast<size_t>(g.total_pages()) * g.data_size, 0xFF);
-  spare_.assign(static_cast<size_t>(g.total_pages()) * g.spare_size, 0xFF);
+  if (config_.max_data_programs > 0xFF || config_.max_spare_programs > 0xFF) {
+    // The per-page counts are bytes, and a count of 0 means "erased": a
+    // budget past 255 would wrap a programmed page back to erased.
+    std::fprintf(stderr,
+                 "FlashDevice: max_data_programs (%u) and max_spare_programs "
+                 "(%u) must be <= 255\n",
+                 config_.max_data_programs, config_.max_spare_programs);
+    std::abort();
+  }
   data_programs_.assign(g.total_pages(), 0);
   spare_programs_.assign(g.total_pages(), 0);
   reads_since_erase_.assign(g.total_pages(), 0);
@@ -193,15 +208,8 @@ Status FlashDevice::ReadPage(PhysAddr addr, MutBytes data, MutBytes spare) {
     FlagForScrub(addr);
   }
 
-  if (!data.empty()) {
-    CopyBytes(data, ConstBytes(data_.data() + static_cast<size_t>(addr) * g.data_size,
-                               g.data_size));
-  }
-  if (!spare.empty()) {
-    CopyBytes(spare,
-              ConstBytes(spare_.data() + static_cast<size_t>(addr) * g.spare_size,
-                         g.spare_size));
-  }
+  if (!data.empty()) CopyBytes(data, RawData(addr));
+  if (!spare.empty()) CopyBytes(spare, RawSpare(addr));
   if (corrupt) {
     // The cells are intact; only this delivery is wrong. Flip bits in the
     // data area when it was requested (the common case the FTL's data CRC
@@ -251,10 +259,18 @@ std::vector<PhysAddr> FlashDevice::TakeScrubCandidates() {
   return out;
 }
 
-Status FlashDevice::ProgramCells(uint8_t* dst, ConstBytes src, PhysAddr addr,
-                                 const char* area, bool strict) {
+Status FlashDevice::ProgramCells(uint8_t* dst, ConstBytes src, bool erased,
+                                 PhysAddr addr, const char* area,
+                                 bool strict) {
   const uint8_t* s = src.data();
   const size_t n = src.size();
+  if (erased) {
+    // Erased cells are all ones, so the 0->1 check passes and the AND yields
+    // the image itself. The array may still hold the pre-erase image: copy,
+    // never AND.
+    std::memcpy(dst, s, n);
+    return Status::OK();
+  }
   constexpr size_t kWord = sizeof(uint64_t);
   const size_t words_end = n - n % kWord;
   if (strict && config_.strict_bit_semantics) {
@@ -332,15 +348,15 @@ Status FlashDevice::ProgramImpl(PhysAddr addr, ConstBytes data,
   }
 
   if (!data.empty()) {
-    FLASHDB_RETURN_IF_ERROR(ProgramCells(
-        data_.data() + static_cast<size_t>(addr) * g.data_size, data, addr,
-        "data", strict));
+    FLASHDB_RETURN_IF_ERROR(ProgramCells(DataCells(addr), data,
+                                         data_programs_[addr] == 0, addr,
+                                         "data", strict));
     data_programs_[addr]++;
   }
   if (!spare.empty()) {
-    FLASHDB_RETURN_IF_ERROR(ProgramCells(
-        spare_.data() + static_cast<size_t>(addr) * g.spare_size, spare, addr,
-        "spare", strict));
+    FLASHDB_RETURN_IF_ERROR(ProgramCells(SpareCells(addr), spare,
+                                         spare_programs_[addr] == 0, addr,
+                                         "spare", strict));
     spare_programs_[addr]++;
   }
   if (first_program && page > block_frontier_[block]) {
@@ -376,14 +392,8 @@ Status FlashDevice::ProgramImpl(PhysAddr addr, ConstBytes data,
 void FlashDevice::ApplyErase(uint32_t block) {
   const auto& g = config_.geometry;
   const PhysAddr first = AddrOf(block, 0);
-  std::fill(data_.begin() + static_cast<size_t>(first) * g.data_size,
-            data_.begin() + static_cast<size_t>(first + g.pages_per_block) *
-                                g.data_size,
-            0xFF);
-  std::fill(spare_.begin() + static_cast<size_t>(first) * g.spare_size,
-            spare_.begin() + static_cast<size_t>(first + g.pages_per_block) *
-                                 g.spare_size,
-            0xFF);
+  // Zero program counts are the erased state; the cells are left as they are
+  // (see RawData and ProgramCells).
   for (uint32_t p = 0; p < g.pages_per_block; ++p) {
     data_programs_[first + p] = 0;
     spare_programs_[first + p] = 0;
@@ -529,7 +539,9 @@ Status FlashDevice::MarkBadBlockOob(uint32_t block) {
   }
   // Clear the mark byte directly: budgets and the sequential rule do not
   // apply to bad-block marking (the block is leaving service regardless).
-  spare_[static_cast<size_t>(addr) * g.spare_size + kBadBlockOobOffset] = 0x00;
+  uint8_t* cells = SpareCells(addr);
+  if (spare_programs_[addr] == 0) std::memset(cells, 0xFF, g.spare_size);
+  cells[kBadBlockOobOffset] = 0x00;
   if (spare_programs_[addr] < 0xFF) spare_programs_[addr]++;
   const uint32_t plane = g.plane_of_block(block);
   plane_last_prog_[plane] = kNullAddr;
@@ -563,15 +575,15 @@ void FlashDevice::ResetAccounting() {
 }
 
 ConstBytes FlashDevice::RawData(PhysAddr addr) const {
-  const auto& g = config_.geometry;
-  return ConstBytes(data_.data() + static_cast<size_t>(addr) * g.data_size,
-                    g.data_size);
+  const uint32_t n = config_.geometry.data_size;
+  if (data_programs_[addr] == 0) return ConstBytes(erased_.data(), n);
+  return ConstBytes(data_.data() + static_cast<size_t>(addr) * n, n);
 }
 
 ConstBytes FlashDevice::RawSpare(PhysAddr addr) const {
-  const auto& g = config_.geometry;
-  return ConstBytes(spare_.data() + static_cast<size_t>(addr) * g.spare_size,
-                    g.spare_size);
+  const uint32_t n = config_.geometry.spare_size;
+  if (spare_programs_[addr] == 0) return ConstBytes(erased_.data(), n);
+  return ConstBytes(spare_.data() + static_cast<size_t>(addr) * n, n);
 }
 
 }  // namespace flashdb::flash

@@ -3,7 +3,7 @@
 // The emulator enforces the physical programming model of NAND flash:
 //   * reads and programs are page-granular; erases are block-granular;
 //   * programming can only clear bits (1 -> 0); an erase resets a whole block
-//     to all-ones;
+//     to all-ones (by resetting its program counts, see below);
 //   * pages within a block must be first-programmed in ascending order;
 //   * a page's data / spare area can only be programmed a limited number of
 //     times between erases (partial programming budget).
@@ -31,6 +31,7 @@
 #include "common/bytes.h"
 #include "common/sim_clock.h"
 #include "common/status.h"
+#include "flash/cell_array.h"
 #include "flash/fault_injector.h"
 #include "flash/flash_config.h"
 #include "flash/flash_stats.h"
@@ -201,9 +202,11 @@ class FlashDevice {
   /// Zeroes statistics and the virtual clock (flash contents untouched).
   void ResetAccounting();
 
-  /// Direct, cost-free access to a page's data area for test assertions.
+  /// Direct, cost-free access to a page's data area for test assertions. An
+  /// erased area (program count 0) is presented as all-ones; the span stays
+  /// valid until the next device operation.
   ConstBytes RawData(PhysAddr addr) const;
-  /// Direct, cost-free access to a page's spare area for test assertions.
+  /// Direct, cost-free access to a page's spare area, like RawData.
   ConstBytes RawSpare(PhysAddr addr) const;
   /// Cost-free check of the bad-block OOB mark (test assertions; the FTL
   /// pays for real reads when it scans).
@@ -230,9 +233,18 @@ class FlashDevice {
   Status ProgramImpl(PhysAddr addr, ConstBytes data, ConstBytes spare,
                      bool strict);
   /// ANDs `src` into the cell range at `dst`; when `strict`, rejects images
-  /// whose stored result would differ from `src` (lost 1-bits).
-  Status ProgramCells(uint8_t* dst, ConstBytes src, PhysAddr addr,
+  /// whose stored result would differ from `src` (lost 1-bits). An `erased`
+  /// area is logically all-ones, so `src` is copied over whatever the cells
+  /// still hold from before the erase.
+  Status ProgramCells(uint8_t* dst, ConstBytes src, bool erased, PhysAddr addr,
                       const char* area, bool strict);
+  uint8_t* DataCells(PhysAddr addr) {
+    return data_.data() + static_cast<size_t>(addr) * config_.geometry.data_size;
+  }
+  uint8_t* SpareCells(PhysAddr addr) {
+    return spare_.data() +
+           static_cast<size_t>(addr) * config_.geometry.spare_size;
+  }
   /// Updates op counts and work-time totals: `count` operations summing to
   /// `us` of array time (multi-plane commands pass count > 1, us once).
   void ChargeCounters(OpKind kind, uint64_t us, uint64_t count);
@@ -248,7 +260,8 @@ class FlashDevice {
               bool cache_chain = false);
   /// Re-floors plane ready times after an external clock Advance()/Reset().
   void SyncPlanesToClock();
-  /// Resets the cells, program budgets and frontier of one block.
+  /// Erases one block: zeroes its program counts (the erased state), read
+  /// counters, scrub flags and frontier. The cells are not touched.
   void ApplyErase(uint32_t block);
   /// Marks a data-region page as a scrub candidate (idempotent until the
   /// next TakeScrubCandidates or block erase).
@@ -258,10 +271,13 @@ class FlashDevice {
   static void CorruptBuffer(MutBytes buf, uint64_t salt);
 
   FlashConfig config_;
-  ByteBuffer data_;                        ///< num pages * data_size
-  ByteBuffer spare_;                       ///< num pages * spare_size
-  std::vector<uint8_t> data_programs_;     ///< per-page data program count
-  std::vector<uint8_t> spare_programs_;    ///< per-page spare program count
+  CellArray data_;   ///< num pages * data_size; meaningful where count > 0
+  CellArray spare_;  ///< num pages * spare_size; likewise
+  /// max(data_size, spare_size) bytes of 0xFF: what an erased area reads as.
+  ByteBuffer erased_;
+  /// Per-page data / spare program counts since the last erase; 0 = erased.
+  std::vector<uint8_t> data_programs_;
+  std::vector<uint8_t> spare_programs_;
   std::vector<int32_t> block_frontier_;    ///< highest first-programmed page
   /// Read attempts per page since its block's last erase (read disturb).
   /// Device *physical* state like the cells, not accounting: survives

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
-#include <set>
 
 #include "common/coding.h"
 
@@ -102,24 +101,6 @@ Layout ComputeLayout(const TpccScale& s, uint32_t page_size, uint32_t hosted) {
   return l;
 }
 
-/// Builds a row: numeric prefix fields followed by pseudo-random filler.
-ByteBuffer MakeRow(uint32_t size, Random* rng,
-                   std::initializer_list<uint64_t> prefix_u64,
-                   std::initializer_list<uint32_t> prefix_u32 = {}) {
-  ByteBuffer row(size, 0);
-  size_t off = 0;
-  for (uint64_t v : prefix_u64) {
-    EncodeFixed64(row.data() + off, v);
-    off += 8;
-  }
-  for (uint32_t v : prefix_u32) {
-    EncodeFixed32(row.data() + off, v);
-    off += 4;
-  }
-  rng->Fill(MutBytes(row.data() + off, size - off));
-  return row;
-}
-
 std::vector<uint32_t> FullWarehouseRange(uint32_t warehouses) {
   std::vector<uint32_t> ids(warehouses);
   std::iota(ids.begin(), ids.end(), 1u);
@@ -192,6 +173,23 @@ TpccWorkload::Table TpccWorkload::MakeTable(uint32_t heap_pages,
   return t;
 }
 
+ConstBytes TpccWorkload::MakeRow(uint32_t size,
+                                 std::initializer_list<uint64_t> prefix_u64,
+                                 std::initializer_list<uint32_t> prefix_u32) {
+  new_row_.resize(size);
+  size_t off = 0;
+  for (uint64_t v : prefix_u64) {
+    EncodeFixed64(new_row_.data() + off, v);
+    off += 8;
+  }
+  for (uint32_t v : prefix_u32) {
+    EncodeFixed32(new_row_.data() + off, v);
+    off += 4;
+  }
+  rng_.Fill(MutBytes(new_row_.data() + off, size - off));
+  return new_row_;
+}
+
 Status TpccWorkload::GetRow(const Table& t, uint64_t key, ByteBuffer* row) {
   FLASHDB_ASSIGN_OR_RETURN(uint64_t enc, t.index->Get(key));
   return t.heap->Get(Rid::Decode(enc), row);
@@ -236,18 +234,18 @@ Status TpccWorkload::Load() {
   for (uint32_t w : warehouse_ids_) {
     // w_ytd at offset 0.
     FLASHDB_RETURN_IF_ERROR(InsertRow(
-        warehouse_, WKey(w), MakeRow(kWarehouseRow, &rng_, {300000ULL})));
+        warehouse_, WKey(w), MakeRow(kWarehouseRow, {300000ULL})));
     for (uint32_t d = 1; d <= scale_.districts_per_warehouse; ++d) {
       // d_ytd @0 (u64), d_next_o_id @8 (u32).
       FLASHDB_RETURN_IF_ERROR(InsertRow(
           district_, DKey(w, d),
-          MakeRow(kDistrictRow, &rng_, {30000ULL},
+          MakeRow(kDistrictRow, {30000ULL},
                   {scale_.init_orders_per_district + 1})));
       for (uint32_t c = 1; c <= scale_.customers_per_district; ++c) {
         // c_balance @0 (u64, biased so it never underflows), c_payments @8.
         FLASHDB_RETURN_IF_ERROR(
             InsertRow(customer_, CKey(w, d, c),
-                      MakeRow(kCustomerRow, &rng_, {1u << 20, 0ULL})));
+                      MakeRow(kCustomerRow, {1u << 20, 0ULL})));
       }
     }
   }
@@ -256,14 +254,14 @@ Status TpccWorkload::Load() {
   for (uint32_t i = 1; i <= scale_.items; ++i) {
     // i_price @0.
     FLASHDB_RETURN_IF_ERROR(InsertRow(
-        item_, i, MakeRow(kItemRow, &rng_, {rng_.Range(100, 10000)})));
+        item_, i, MakeRow(kItemRow, {rng_.Range(100, 10000)})));
   }
   for (uint32_t w : warehouse_ids_) {
     for (uint32_t i = 1; i <= scale_.items; ++i) {
       // s_quantity @0 (u32), s_ytd @4 (u32), s_order_cnt @8 (u32).
       FLASHDB_RETURN_IF_ERROR(
           InsertRow(stock_, SKey(w, i),
-                    MakeRow(kStockRow, &rng_, {},
+                    MakeRow(kStockRow, {},
                             {static_cast<uint32_t>(rng_.Range(10, 100)), 0u,
                              0u})));
     }
@@ -279,7 +277,7 @@ Status TpccWorkload::Load() {
         // o_c_id @0, o_carrier_id @4, o_ol_cnt @8 (u32 each).
         FLASHDB_RETURN_IF_ERROR(InsertRow(
             order_, OKey(w, d, o),
-            MakeRow(kOrderRow, &rng_, {},
+            MakeRow(kOrderRow, {},
                     {c, delivered ? 1u + static_cast<uint32_t>(rng_.Uniform(10))
                                   : 0u,
                      ol_cnt})));
@@ -288,13 +286,13 @@ Status TpccWorkload::Load() {
           // ol_i_id @0, ol_amount @4, ol_delivery_d @8.
           FLASHDB_RETURN_IF_ERROR(InsertRow(
               order_line_, OlKey(w, d, o, ln),
-              MakeRow(kOrderLineRow, &rng_, {},
+              MakeRow(kOrderLineRow, {},
                       {i, static_cast<uint32_t>(rng_.Range(1, 9999)),
                        delivered ? 1u : 0u})));
         }
         if (!delivered) {
           FLASHDB_RETURN_IF_ERROR(InsertRow(new_order_, OKey(w, d, o),
-                                            MakeRow(kNewOrderRow, &rng_, {},
+                                            MakeRow(kNewOrderRow, {},
                                                     {o})));
         }
       }
@@ -330,31 +328,30 @@ Status TpccWorkload::NewOrderAt(uint32_t w) {
       1 + static_cast<uint32_t>(rng_.Uniform(scale_.districts_per_warehouse));
   const uint32_t c = PickCustomer();
   const uint32_t wd_idx = WdIndex(w, d);
-  ByteBuffer row;
   // Warehouse tax (read).
-  FLASHDB_RETURN_IF_ERROR(GetRow(warehouse_, WKey(w), &row));
+  FLASHDB_RETURN_IF_ERROR(GetRow(warehouse_, WKey(w), &row_));
   // District: read + advance d_next_o_id.
   FLASHDB_RETURN_IF_ERROR(
-      UpdateRow(district_, DKey(w, d), &row, [&](ByteBuffer* r) {
+      UpdateRow(district_, DKey(w, d), &row_, [&](ByteBuffer* r) {
         EncodeFixed32(r->data() + 8, DecodeFixed32(r->data() + 8) + 1);
       }));
   // Customer discount/credit (read).
-  FLASHDB_RETURN_IF_ERROR(GetRow(customer_, CKey(w, d, c), &row));
+  FLASHDB_RETURN_IF_ERROR(GetRow(customer_, CKey(w, d, c), &row_));
 
   const uint32_t o = next_o_id_[wd_idx]++;
   const uint32_t ol_cnt = static_cast<uint32_t>(rng_.Range(5, 15));
   FLASHDB_RETURN_IF_ERROR(InsertRow(
-      order_, OKey(w, d, o), MakeRow(kOrderRow, &rng_, {}, {c, 0u, ol_cnt})));
+      order_, OKey(w, d, o), MakeRow(kOrderRow, {}, {c, 0u, ol_cnt})));
   FLASHDB_RETURN_IF_ERROR(InsertRow(new_order_, OKey(w, d, o),
-                                    MakeRow(kNewOrderRow, &rng_, {}, {o})));
+                                    MakeRow(kNewOrderRow, {}, {o})));
   for (uint32_t ln = 1; ln <= ol_cnt; ++ln) {
     const uint32_t i = PickItem();
     const uint32_t qty = 1 + static_cast<uint32_t>(rng_.Uniform(10));
-    FLASHDB_RETURN_IF_ERROR(GetRow(item_, i, &row));
-    const uint32_t price = DecodeFixed32(row.data());
+    FLASHDB_RETURN_IF_ERROR(GetRow(item_, i, &row_));
+    const uint32_t price = DecodeFixed32(row_.data());
     // Stock: decrement quantity, bump ytd / order count.
     FLASHDB_RETURN_IF_ERROR(
-        UpdateRow(stock_, SKey(w, i), &row, [&](ByteBuffer* r) {
+        UpdateRow(stock_, SKey(w, i), &row_, [&](ByteBuffer* r) {
           uint32_t q = DecodeFixed32(r->data());
           q = q >= qty + 10 ? q - qty : q + 91 - qty;
           EncodeFixed32(r->data(), q);
@@ -363,7 +360,7 @@ Status TpccWorkload::NewOrderAt(uint32_t w) {
         }));
     FLASHDB_RETURN_IF_ERROR(
         InsertRow(order_line_, OlKey(w, d, o, ln),
-                  MakeRow(kOrderLineRow, &rng_, {}, {i, price * qty, 0u})));
+                  MakeRow(kOrderLineRow, {}, {i, price * qty, 0u})));
   }
   stats_.new_order++;
   return Status::OK();
@@ -376,23 +373,22 @@ Status TpccWorkload::PaymentAt(uint32_t w) {
       1 + static_cast<uint32_t>(rng_.Uniform(scale_.districts_per_warehouse));
   const uint32_t c = PickCustomer();
   const uint64_t amount = rng_.Range(100, 500000);
-  ByteBuffer row;
   FLASHDB_RETURN_IF_ERROR(
-      UpdateRow(warehouse_, WKey(w), &row, [&](ByteBuffer* r) {
+      UpdateRow(warehouse_, WKey(w), &row_, [&](ByteBuffer* r) {
         EncodeFixed64(r->data(), DecodeFixed64(r->data()) + amount);
       }));
   FLASHDB_RETURN_IF_ERROR(
-      UpdateRow(district_, DKey(w, d), &row, [&](ByteBuffer* r) {
+      UpdateRow(district_, DKey(w, d), &row_, [&](ByteBuffer* r) {
         EncodeFixed64(r->data(), DecodeFixed64(r->data()) + amount);
       }));
   FLASHDB_RETURN_IF_ERROR(
-      UpdateRow(customer_, CKey(w, d, c), &row, [&](ByteBuffer* r) {
+      UpdateRow(customer_, CKey(w, d, c), &row_, [&](ByteBuffer* r) {
         EncodeFixed64(r->data(), DecodeFixed64(r->data()) + amount);
         EncodeFixed64(r->data() + 8, DecodeFixed64(r->data() + 8) + 1);
       }));
   FLASHDB_ASSIGN_OR_RETURN(
       Rid rid, history_.heap->Insert(
-                   MakeRow(kHistoryRow, &rng_, {amount},
+                   MakeRow(kHistoryRow, {amount},
                            {w, d, c})));
   (void)rid;
   stats_.payment++;
@@ -406,8 +402,7 @@ Status TpccWorkload::OrderStatusAt(uint32_t w) {
       1 + static_cast<uint32_t>(rng_.Uniform(scale_.districts_per_warehouse));
   const uint32_t c = PickCustomer();
   const uint32_t wd_idx = WdIndex(w, d);
-  ByteBuffer row;
-  FLASHDB_RETURN_IF_ERROR(GetRow(customer_, CKey(w, d, c), &row));
+  FLASHDB_RETURN_IF_ERROR(GetRow(customer_, CKey(w, d, c), &row_));
   const uint32_t next = next_o_id_[wd_idx];
   if (next <= 1) {
     stats_.order_status++;
@@ -415,12 +410,12 @@ Status TpccWorkload::OrderStatusAt(uint32_t w) {
   }
   const uint32_t lo = next > 20 ? next - 20 : 1;
   const uint32_t o = static_cast<uint32_t>(rng_.Range(lo, next - 1));
-  FLASHDB_RETURN_IF_ERROR(GetRow(order_, OKey(w, d, o), &row));
-  // Read the order's lines via an index range scan (into `row`, whose
+  FLASHDB_RETURN_IF_ERROR(GetRow(order_, OKey(w, d, o), &row_));
+  // Read the order's lines via an index range scan (into `row_`, whose
   // capacity every line reuses).
   FLASHDB_RETURN_IF_ERROR(order_line_.index->Scan(
       OlKey(w, d, o, 0), OlKey(w, d, o, 255), [&](uint64_t, uint64_t enc) {
-        return order_line_.heap->Get(Rid::Decode(enc), &row);
+        return order_line_.heap->Get(Rid::Decode(enc), &row_);
       }));
   stats_.order_status++;
   return Status::OK();
@@ -429,7 +424,6 @@ Status TpccWorkload::OrderStatusAt(uint32_t w) {
 Status TpccWorkload::Delivery() { return DeliveryAt(PickWarehouse()); }
 
 Status TpccWorkload::DeliveryAt(uint32_t w) {
-  ByteBuffer row;
   for (uint32_t d = 1; d <= scale_.districts_per_warehouse; ++d) {
     const uint32_t wd_idx = WdIndex(w, d);
     const uint32_t o = next_delivery_o_id_[wd_idx];
@@ -445,7 +439,7 @@ Status TpccWorkload::DeliveryAt(uint32_t w) {
     uint32_t c = 0;
     uint32_t ol_cnt = 0;
     FLASHDB_RETURN_IF_ERROR(
-        UpdateRow(order_, OKey(w, d, o), &row, [&](ByteBuffer* r) {
+        UpdateRow(order_, OKey(w, d, o), &row_, [&](ByteBuffer* r) {
           c = DecodeFixed32(r->data());
           ol_cnt = DecodeFixed32(r->data() + 8);
           EncodeFixed32(r->data() + 4,
@@ -455,14 +449,14 @@ Status TpccWorkload::DeliveryAt(uint32_t w) {
     uint64_t total = 0;
     for (uint32_t ln = 1; ln <= ol_cnt; ++ln) {
       FLASHDB_RETURN_IF_ERROR(
-          UpdateRow(order_line_, OlKey(w, d, o, ln), &row, [&](ByteBuffer* r) {
+          UpdateRow(order_line_, OlKey(w, d, o, ln), &row_, [&](ByteBuffer* r) {
             total += DecodeFixed32(r->data() + 4);
             EncodeFixed32(r->data() + 8, 1);
           }));
     }
     // Credit the customer.
     FLASHDB_RETURN_IF_ERROR(
-        UpdateRow(customer_, CKey(w, d, c), &row, [&](ByteBuffer* r) {
+        UpdateRow(customer_, CKey(w, d, c), &row_, [&](ByteBuffer* r) {
           EncodeFixed64(r->data(), DecodeFixed64(r->data()) + total);
         }));
   }
@@ -477,25 +471,28 @@ Status TpccWorkload::StockLevelAt(uint32_t w) {
       1 + static_cast<uint32_t>(rng_.Uniform(scale_.districts_per_warehouse));
   const uint32_t wd_idx = WdIndex(w, d);
   const uint32_t threshold = static_cast<uint32_t>(rng_.Range(10, 20));
-  ByteBuffer row;
-  FLASHDB_RETURN_IF_ERROR(GetRow(district_, DKey(w, d), &row));
+  FLASHDB_RETURN_IF_ERROR(GetRow(district_, DKey(w, d), &row_));
   const uint32_t next = next_o_id_[wd_idx];
   const uint32_t lo = next > 20 ? next - 20 : 1;
-  std::set<uint32_t> items;
+  stock_items_.clear();
   for (uint32_t o = lo; o < next; ++o) {
     FLASHDB_RETURN_IF_ERROR(order_line_.index->Scan(
         OlKey(w, d, o, 0), OlKey(w, d, o, 255),
         [&](uint64_t, uint64_t enc) {
           FLASHDB_RETURN_IF_ERROR(order_line_.heap->Get(Rid::Decode(enc),
-                                                        &row));
-          items.insert(DecodeFixed32(row.data()));
+                                                        &row_));
+          stock_items_.push_back(DecodeFixed32(row_.data()));
           return Status::OK();
         }));
   }
+  // Distinct items in ascending order, as the spec's set semantics read them.
+  std::sort(stock_items_.begin(), stock_items_.end());
+  stock_items_.erase(std::unique(stock_items_.begin(), stock_items_.end()),
+                     stock_items_.end());
   uint32_t low_count = 0;
-  for (uint32_t i : items) {
-    FLASHDB_RETURN_IF_ERROR(GetRow(stock_, SKey(w, i), &row));
-    if (DecodeFixed32(row.data()) < threshold) ++low_count;
+  for (uint32_t i : stock_items_) {
+    FLASHDB_RETURN_IF_ERROR(GetRow(stock_, SKey(w, i), &row_));
+    if (DecodeFixed32(row_.data()) < threshold) ++low_count;
   }
   (void)low_count;
   stats_.stock_level++;

@@ -23,6 +23,7 @@
 #define FLASHDB_WORKLOAD_TPCC_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -188,6 +189,10 @@ class TpccWorkload {
   uint32_t PickCustomer();
   uint32_t PickItem();
 
+  /// Builds a row in new_row_: numeric prefix fields followed by
+  /// pseudo-random filler. Valid until the next MakeRow.
+  ConstBytes MakeRow(uint32_t size, std::initializer_list<uint64_t> prefix_u64,
+                     std::initializer_list<uint32_t> prefix_u32 = {});
   Status UpdateRow(Table& t, uint64_t key, ByteBuffer* row,
                    FunctionRef<void(ByteBuffer*)> mutate);
   Status GetRow(const Table& t, uint64_t key, ByteBuffer* row);
@@ -219,6 +224,12 @@ class TpccWorkload {
   std::vector<uint32_t> next_delivery_o_id_;
 
   TpccStats stats_;
+
+  // Per-transaction scratch, reused so a transaction allocates nothing once
+  // the buffers have grown to the largest row / item set.
+  ByteBuffer row_;                     ///< row read, updated in place
+  ByteBuffer new_row_;                 ///< row being inserted (MakeRow)
+  std::vector<uint32_t> stock_items_;  ///< StockLevel's item ids
 };
 
 }  // namespace flashdb::workload

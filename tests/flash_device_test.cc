@@ -1,7 +1,12 @@
 // Unit tests for the NAND flash emulator: bit semantics, erase, sequential
-// programming, partial-program budgets, timing/statistics, fault injection.
+// programming, partial-program budgets, timing/statistics, fault injection,
+// and lazy erase against an eagerly erased reference model.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+
+#include <algorithm>
+#include <string>
 
 #include "common/random.h"
 #include "flash/fault_injector.h"
@@ -487,6 +492,307 @@ INSTANTIATE_TEST_SUITE_P(PageShapes, ProgramCellsTest,
                          ::testing::Values(PageShape(2048, 64),
                                            PageShape(2044, 61)),
                          ShapeName);
+
+// --- Lazy erase: the device against an eagerly erased reference -----------
+
+// The physical model spelled out the obvious way: every cell starts at 0xFF,
+// an erase fills the block with 0xFF, a program ANDs the image in. The
+// device keeps the erased state in its program counts instead; after every
+// operation the two must be indistinguishable through the public surface.
+class EagerChip {
+ public:
+  explicit EagerChip(const FlashConfig& cfg)
+      : cfg_(cfg),
+        data_(cfg.geometry.total_pages(),
+              ByteBuffer(cfg.geometry.data_size, 0xFF)),
+        spare_(cfg.geometry.total_pages(),
+               ByteBuffer(cfg.geometry.spare_size, 0xFF)),
+        data_programs_(cfg.geometry.total_pages(), 0),
+        spare_programs_(cfg.geometry.total_pages(), 0),
+        frontier_(cfg.geometry.num_blocks, -1) {}
+
+  StatusCode Program(PhysAddr addr, ConstBytes data, ConstBytes spare,
+                     bool strict) {
+    const uint32_t ppb = cfg_.geometry.pages_per_block;
+    if (!data.empty() && data_programs_[addr] >= cfg_.max_data_programs) {
+      return StatusCode::kFlashConstraint;
+    }
+    if (!spare.empty() && spare_programs_[addr] >= cfg_.max_spare_programs) {
+      return StatusCode::kFlashConstraint;
+    }
+    const bool first = data_programs_[addr] == 0 && spare_programs_[addr] == 0;
+    const int32_t page = static_cast<int32_t>(addr % ppb);
+    if (first && page < frontier_[addr / ppb]) {
+      return StatusCode::kFlashConstraint;
+    }
+    if (!data.empty()) {
+      if (!AndInto(&data_[addr], data, strict)) {
+        return StatusCode::kFlashConstraint;
+      }
+      data_programs_[addr]++;
+    }
+    if (!spare.empty()) {
+      if (!AndInto(&spare_[addr], spare, strict)) {
+        return StatusCode::kFlashConstraint;
+      }
+      spare_programs_[addr]++;
+    }
+    if (first && page > frontier_[addr / ppb]) frontier_[addr / ppb] = page;
+    return StatusCode::kOk;
+  }
+
+  void Erase(uint32_t block) {
+    const uint32_t ppb = cfg_.geometry.pages_per_block;
+    for (PhysAddr a = block * ppb; a < (block + 1) * ppb; ++a) {
+      std::fill(data_[a].begin(), data_[a].end(), 0xFF);
+      std::fill(spare_[a].begin(), spare_[a].end(), 0xFF);
+      data_programs_[a] = 0;
+      spare_programs_[a] = 0;
+    }
+    frontier_[block] = -1;
+  }
+
+  void MarkBad(uint32_t block) {
+    const PhysAddr a = block * cfg_.geometry.pages_per_block;
+    spare_[a][kBadBlockOobOffset] = 0x00;
+    if (spare_programs_[a] < 0xFF) spare_programs_[a]++;
+  }
+
+  const ByteBuffer& data(PhysAddr a) const { return data_[a]; }
+  const ByteBuffer& spare(PhysAddr a) const { return spare_[a]; }
+  uint32_t data_programs(PhysAddr a) const { return data_programs_[a]; }
+  uint32_t spare_programs(PhysAddr a) const { return spare_programs_[a]; }
+
+ private:
+  bool AndInto(ByteBuffer* cells, ConstBytes img, bool strict) const {
+    if (strict && cfg_.strict_bit_semantics) {
+      for (size_t i = 0; i < img.size(); ++i) {
+        if (img[i] & ~(*cells)[i]) return false;
+      }
+    }
+    for (size_t i = 0; i < img.size(); ++i) (*cells)[i] &= img[i];
+    return true;
+  }
+
+  FlashConfig cfg_;
+  std::vector<ByteBuffer> data_;
+  std::vector<ByteBuffer> spare_;
+  std::vector<uint32_t> data_programs_;
+  std::vector<uint32_t> spare_programs_;
+  std::vector<int32_t> frontier_;
+};
+
+class LazyEraseTest : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  // Ops touch pages 0..kPagesUsed-1 of each block, so blocks are re-erased
+  // and re-programmed often and the comparison after every op stays cheap.
+  static constexpr uint32_t kPagesUsed = 8;
+
+  LazyEraseTest() : dev_(TinyConfig()), model_(TinyConfig()) {}
+
+  // Mostly 0xFF with a few random bytes: a page survives several ANDs
+  // before it is all zeros.
+  ByteBuffer SparseImage(size_t n, Random* rng) const {
+    ByteBuffer b(n, 0xFF);
+    for (uint8_t& x : b) {
+      if (rng->Uniform(8) == 0) x = static_cast<uint8_t>(rng->Next());
+    }
+    return b;
+  }
+
+  // Usually a legal strict image for the area's current (model) contents,
+  // sometimes an arbitrary one, which stale-cell bugs turn into a verdict
+  // mismatch.
+  ByteBuffer StrictImage(const ByteBuffer& cells, Random* rng) const {
+    ByteBuffer b = SparseImage(cells.size(), rng);
+    if (rng->Uniform(4) != 0) {
+      for (size_t i = 0; i < b.size(); ++i) b[i] &= cells[i];
+    }
+    return b;
+  }
+
+  void ExpectSameState(const std::string& where) {
+    const FlashGeometry& g = dev_.geometry();
+    ByteBuffer data(g.data_size), spare(g.spare_size);
+    for (uint32_t block = 0; block < g.num_blocks; ++block) {
+      for (uint32_t p = 0; p < kPagesUsed; ++p) {
+        const PhysAddr a = dev_.AddrOf(block, p);
+        SCOPED_TRACE(where + ", page " + std::to_string(a));
+        ASSERT_EQ(dev_.DataProgramCount(a), model_.data_programs(a));
+        ASSERT_EQ(dev_.SpareProgramCount(a), model_.spare_programs(a));
+        ASSERT_EQ(dev_.IsErased(a), model_.data_programs(a) == 0 &&
+                                        model_.spare_programs(a) == 0);
+        ASSERT_TRUE(BytesEqual(dev_.RawData(a), model_.data(a)));
+        ASSERT_TRUE(BytesEqual(dev_.RawSpare(a), model_.spare(a)));
+        ASSERT_TRUE(dev_.ReadPage(a, data, spare).ok());
+        ASSERT_TRUE(BytesEqual(data, model_.data(a)));
+        ASSERT_TRUE(BytesEqual(spare, model_.spare(a)));
+      }
+    }
+  }
+
+  FlashDevice dev_;
+  EagerChip model_;
+};
+
+TEST_P(LazyEraseTest, MatchesEagerModelOverRandomOps) {
+  const FlashGeometry& g = dev_.geometry();
+  Random rng(GetParam());
+  int programs_ok = 0, programs_rejected = 0, erases = 0;
+  for (int op = 0; op < 1500; ++op) {
+    const uint32_t block = static_cast<uint32_t>(rng.Uniform(g.num_blocks));
+    const PhysAddr a =
+        dev_.AddrOf(block, static_cast<uint32_t>(rng.Uniform(kPagesUsed)));
+    std::string what;
+    Status got;
+    StatusCode want = StatusCode::kOk;
+    switch (rng.Uniform(12)) {
+      case 0:
+      case 1:
+      case 2: {  // full program, both areas
+        what = "ProgramPage";
+        const ByteBuffer d = StrictImage(model_.data(a), &rng);
+        const ByteBuffer s = StrictImage(model_.spare(a), &rng);
+        got = dev_.ProgramPage(a, d, s);
+        want = model_.Program(a, d, s, /*strict=*/true);
+        break;
+      }
+      case 3: {  // data-only strict program
+        what = "ProgramPage(data)";
+        const ByteBuffer d = StrictImage(model_.data(a), &rng);
+        got = dev_.ProgramPage(a, d, {});
+        want = model_.Program(a, d, {}, /*strict=*/true);
+        break;
+      }
+      case 4:
+      case 5: {
+        what = "PartialProgramPage";
+        const ByteBuffer d = SparseImage(g.data_size, &rng);
+        got = dev_.PartialProgramPage(a, d);
+        want = model_.Program(a, d, {}, /*strict=*/false);
+        break;
+      }
+      case 6:
+      case 7: {
+        what = "ProgramSpare";
+        const ByteBuffer s = SparseImage(g.spare_size, &rng);
+        got = dev_.ProgramSpare(a, s);
+        want = model_.Program(a, {}, s, /*strict=*/false);
+        break;
+      }
+      case 8:
+      case 9:
+      case 10:
+        what = "EraseBlock";
+        got = dev_.EraseBlock(block);
+        model_.Erase(block);
+        ++erases;
+        break;
+      default:
+        what = "MarkBadBlockOob";
+        got = dev_.MarkBadBlockOob(block);
+        model_.MarkBad(block);
+        break;
+    }
+    const std::string where = "op " + std::to_string(op) + " " + what +
+                              " at page " + std::to_string(a);
+    ASSERT_EQ(got.code(), want) << where << ": " << got.ToString();
+    if (what != "EraseBlock" && what != "MarkBadBlockOob") {
+      (got.ok() ? programs_ok : programs_rejected)++;
+    }
+    ExpectSameState(where);
+    if (HasFatalFailure()) return;
+  }
+  // The mix must exercise both verdicts and plenty of re-erased pages.
+  EXPECT_GT(programs_ok, 300);
+  EXPECT_GT(programs_rejected, 50);
+  EXPECT_GT(erases, 200);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LazyEraseTest, ::testing::Values(1, 2, 3, 4));
+
+TEST(LazyEraseCaseTest, ProgramAfterEraseIgnoresPreEraseImage) {
+  FlashDevice dev(TinyConfig());
+  const FlashGeometry& g = dev.geometry();
+  // A clears the low nibble everywhere; B sets it and clears the high one.
+  const ByteBuffer data_a(g.data_size, 0xF0), spare_a(g.spare_size, 0xF0);
+  const ByteBuffer data_b(g.data_size, 0x0F), spare_b(g.spare_size, 0x0F);
+  ASSERT_TRUE(dev.ProgramPage(0, data_a, spare_a).ok());
+  ASSERT_TRUE(dev.EraseBlock(0).ok());
+  EXPECT_TRUE(BytesEqual(dev.RawData(0), ByteBuffer(g.data_size, 0xFF)));
+  EXPECT_TRUE(BytesEqual(dev.RawSpare(0), ByteBuffer(g.spare_size, 0xFF)));
+  ASSERT_TRUE(dev.ProgramPage(0, data_b, spare_b).ok());
+  ByteBuffer data(g.data_size), spare(g.spare_size);
+  ASSERT_TRUE(dev.ReadPage(0, data, spare).ok());
+  EXPECT_TRUE(BytesEqual(data, data_b));
+  EXPECT_TRUE(BytesEqual(spare, spare_b));
+  // The strict check runs against B, not A: raising a bit of B is refused.
+  ByteBuffer raised = data_b;
+  raised[7] |= 0x80;
+  EXPECT_TRUE(dev.ProgramPage(0, raised, {}).IsFlashConstraint());
+  // A bad-block mark on an erased block reads as all-ones but the mark.
+  ASSERT_TRUE(dev.EraseBlock(0).ok());
+  ASSERT_TRUE(dev.MarkBadBlockOob(0).ok());
+  ByteBuffer marked(g.spare_size, 0xFF);
+  marked[kBadBlockOobOffset] = 0x00;
+  EXPECT_TRUE(BytesEqual(dev.RawSpare(0), marked));
+  EXPECT_TRUE(BytesEqual(dev.RawData(0), ByteBuffer(g.data_size, 0xFF)));
+}
+
+// Peak resident set size of this process, in KiB.
+long MaxRssKiB() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_maxrss;
+}
+
+TEST(LazyEraseCaseTest, ConstructionTouchesNoCells) {
+  // 4096 blocks x 64 pages x (2048 + 64) bytes: 528 MiB of cells.
+  const FlashConfig cfg = FlashConfig::Small(4096);
+  const long before = MaxRssKiB();
+  FlashDevice dev(cfg);
+  EXPECT_LT(MaxRssKiB() - before, 64 * 1024);
+  // Every block is usable: program one page per block, first to last, and
+  // read each back.
+  const FlashGeometry& g = dev.geometry();
+  ByteBuffer data(g.data_size), spare(g.spare_size);
+  for (uint32_t b = 0; b < g.num_blocks; ++b) {
+    const PhysAddr a = dev.AddrOf(b, b % g.pages_per_block);
+    std::fill(data.begin(), data.end(), static_cast<uint8_t>(b));
+    std::fill(spare.begin(), spare.end(), static_cast<uint8_t>(b >> 8));
+    ASSERT_TRUE(dev.ProgramPage(a, data, spare).ok()) << "block " << b;
+  }
+  ByteBuffer rdata(g.data_size), rspare(g.spare_size);
+  for (uint32_t b = 0; b < g.num_blocks; ++b) {
+    const PhysAddr a = dev.AddrOf(b, b % g.pages_per_block);
+    ASSERT_TRUE(dev.ReadPage(a, rdata, rspare).ok());
+    ASSERT_TRUE(BytesEqual(rdata, ByteBuffer(g.data_size,
+                                             static_cast<uint8_t>(b))))
+        << "block " << b;
+    ASSERT_TRUE(BytesEqual(rspare, ByteBuffer(g.spare_size,
+                                              static_cast<uint8_t>(b >> 8))))
+        << "block " << b;
+  }
+}
+
+// One byte past either end of a cell array lands on a guard page. The odd
+// size leaves the front slack below a page, so only the far end is flush.
+TEST(CellArrayDeathTest, OutOfRangeAccessFaults) {
+  CellArray page_sized(3 * 4096);
+  CellArray odd(3 * 4096 + 5);
+  odd.data()[odd.size() - 1] = 1;
+  page_sized.data()[0] = 1;
+  EXPECT_DEATH(static_cast<volatile uint8_t*>(odd.data())[odd.size()] = 1, "");
+  EXPECT_DEATH(static_cast<volatile uint8_t*>(page_sized.data())[-1] = 1, "");
+}
+
+// A count of 0 is the erased state, so a budget the byte-wide counts could
+// wrap past is refused up front.
+TEST(FlashDeviceDeathTest, BudgetPastCountWidthAborts) {
+  FlashConfig cfg = TinyConfig();
+  cfg.max_data_programs = 256;
+  EXPECT_DEATH(FlashDevice dev(cfg), "must be <= 255");
+}
 
 TEST(FlashConfigTest, PaperDefaultsMatchTable1) {
   FlashConfig cfg = FlashConfig::Paper();
